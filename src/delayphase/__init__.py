@@ -11,9 +11,9 @@ from .model import (ChannelRealization, PathSet, SystemConfig, channel_matrices,
                     freq_ratio, freq_ratios, make_rng, sample_channel, sample_paths,
                     subcarrier_frequencies, subcarrier_frequency, ula_response,
                     ula_steering, ura_response)
-from .precoders import (AnalogDesign, PrecoderSet, build_ps_matrix, build_ttd_matrix,
-                        composite_precoder, digital_precoder, ideal_precoder,
-                        materialize)
+from .precoders import (AnalogDesign, PrecoderSet, analog_stack, build_ps_matrix,
+                        build_ttd_matrix, composite_precoder, digital_precoder,
+                        ideal_precoder, ideal_stack, materialize)
 from .qp import (BranchQP, KKTSolution, branch_eta, branch_qp, chord_and_arc,
                  solve_kkt, solve_projected)
 from .sizing import (SizingResult, divisor_ceiling, divisors, min_ttds,

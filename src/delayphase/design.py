@@ -54,7 +54,8 @@ def _joint_branch(n_ps: int, element: int, psi_abs: float, f_c: float, t_max: fl
     threshold = 4.0 * f_c * t_max / denom
     if psi_abs <= threshold:
         phases = (n_ps - 2 * n + 1) / 2.0 * psi_abs
-        delay = denom / (4.0 * f_c) * psi_abs
+        # at psi_abs == threshold the product rounds up to one ulp past t_max
+        delay = min(denom / (4.0 * f_c) * psi_abs, t_max)
         return phases, delay, False
     theta_max = 2.0 * f_c * t_max
     gamma = ((element - 1) * n_ps + n - 1) * psi_abs

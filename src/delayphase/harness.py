@@ -146,13 +146,11 @@ def _stem(experiment: str, design: str | None, param: str | None, value) -> str:
 
 def _analog_columns(cfg: SystemConfig, analog_design) -> np.ndarray:
     """First composite-precoder column per subcarrier, shape (K, n_tx)."""
-    pset = precoders.materialize(cfg, analog_design)
-    return pset.analog[:, :, 0]
+    return precoders.analog_stack(cfg, analog_design)[:, :, 0]
 
 
 def _ideal_columns(cfg: SystemConfig, psi: float) -> np.ndarray:
-    return np.stack([precoders.ideal_precoder(cfg, [psi], k)[:, 0]
-                     for k in range(1, cfg.n_subcarriers + 1)])
+    return precoders.ideal_stack(cfg, [psi])[:, :, 0]
 
 
 def _gain_tables(scenario: Scenario, files, out_dir, fmt):
@@ -177,32 +175,31 @@ def _gain_tables(scenario: Scenario, files, out_dir, fmt):
 
 
 def _rate_trial(cfg: SystemConfig, seed: int, point_index: int, trial: int) -> dict:
+    """Per-subcarrier rates of each design on one sampled channel.
+
+    Each design's analog stack is evaluated in one batched call along the
+    subcarrier axis and released before the next one is built.
+    """
     rng = make_rng(seed, stream=(point_index, trial))
     channel = sample_channel(cfg, rng)
     psi_t = channel.paths.psi_tx
-    stacks = {
-        "proposed": precoders.materialize(
-            cfg, design_mod.design_joint(cfg, psi_t).design).analog,
-        "benchmark": precoders.materialize(
-            cfg, design_mod.design_benchmark(cfg, psi_t)).analog,
-        "ideal": np.stack([precoders.ideal_precoder(cfg, psi_t, k)
-                           for k in range(1, cfg.n_subcarriers + 1)]),
+
+    def rates(analog):
+        w = precoders.digital_precoder(channel.h, analog, cfg.n_streams)
+        return metrics.achievable_rate(channel.h, analog, w, cfg.rho, cfg.n_streams)
+
+    return {
+        "proposed": rates(precoders.analog_stack(
+            cfg, design_mod.design_joint(cfg, psi_t).design)),
+        "benchmark": rates(precoders.analog_stack(
+            cfg, design_mod.design_benchmark(cfg, psi_t))),
+        "ideal": rates(precoders.ideal_stack(cfg, psi_t)),
     }
-    out = {}
-    for name, analog in stacks.items():
-        rates = np.empty(cfg.n_subcarriers)
-        for k in range(1, cfg.n_subcarriers + 1):
-            h_k = channel.h[k - 1]
-            f_k = analog[k - 1]
-            w_k = precoders.digital_precoder(h_k, f_k, cfg.n_streams)
-            rates[k - 1] = metrics.achievable_rate(h_k, f_k, w_k, cfg.rho, cfg.n_streams)
-        out[name] = rates
-    return out
 
 
 def _rate_tables(scenario: Scenario, seed, files, out_dir, fmt, threads):
     for point_index, (param, value, cfg) in enumerate(_sweep_points(scenario)):
-        with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(
                 lambda t: _rate_trial(cfg, seed, point_index, t), range(scenario.trials)))
         mean_rows = []
@@ -267,6 +264,8 @@ def run(scenario: Scenario, seed: int | None = None, out_dir=None,
     """Execute a scenario; returns the output files and the manifest dict."""
     if fmt not in ("csv", "json"):
         raise ValueError("format must be csv or json")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     seed = scenario.config.seed if seed is None else int(seed)
     out = Path(out_dir if out_dir is not None else scenario.out_dir)
     out.mkdir(parents=True, exist_ok=True)

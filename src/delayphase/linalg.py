@@ -95,14 +95,17 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
 
 
 def fix_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
+    """Rotate each column so its largest-magnitude entry is real positive.
+
+    ``v`` is one matrix or a stack of them, shape (..., n, m); all-zero
+    columns are left as they are.
+    """
     v = np.array(v, dtype=complex)
-    for j in range(v.shape[1]):
-        i = int(np.argmax(np.abs(v[:, j])))
-        pivot = v[i, j]
-        if abs(pivot) > 0:
-            v[:, j] *= np.conj(pivot) / abs(pivot)
-    return v
+    is_pivot = np.arange(v.shape[-2])[:, None] == np.abs(v).argmax(axis=-2)[..., None, :]
+    pivot = np.where(is_pivot, v, 0).sum(axis=-2, keepdims=True)
+    size = np.abs(pivot)
+    nonzero = size > 0
+    return v * np.where(nonzero, pivot.conj() / np.where(nonzero, size, 1.0), 1.0)
 
 
 def solve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -9,6 +9,8 @@ radians are kept alongside them for provenance only.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import warnings
 from dataclasses import asdict, dataclass, replace
 
@@ -21,6 +23,11 @@ def make_rng(seed: int, stream=None) -> np.random.Generator:
     key = None if stream is None else (tuple(stream) if isinstance(stream, (tuple, list)) else (stream,))
     ss = np.random.SeedSequence(entropy=seed, spawn_key=key or ())
     return np.random.Generator(np.random.Philox(ss))
+
+
+_FLOAT_FIELDS = ("f_c", "bandwidth", "t_max", "rho", "path_delay_max")
+_COUNT_FIELDS = ("n_subcarriers", "n_tx", "n_rx", "n_rf", "n_streams", "ttds_per_rf",
+                 "ps_per_ttd", "seed")
 
 
 @dataclass(frozen=True)
@@ -58,6 +65,14 @@ class SystemConfig:
     path_delay_max: float = 20e-3
 
     def __post_init__(self):
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        for name in _COUNT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.f_c <= 0:
             raise ValueError("carrier frequency must be positive")
         if not 0 <= self.bandwidth < self.f_c:

@@ -4,6 +4,11 @@ The analog precoder factors into a frequency-flat phase-shifter matrix and a
 subcarrier-dependent delay matrix; their product has constant entry modulus
 1/sqrt(n_tx) by construction. Phase-shifter settings are stored in units of pi
 radians and converted to complex exponentials only here.
+
+The stacks over all subcarriers (``analog_stack``, ``ideal_stack``) are single
+broadcast kernels along the subcarrier axis, and ``digital_precoder`` accepts
+stacks as well as single subcarriers; the dense factors F1 and F2_k are formed
+only on request (``build_ps_matrix``, ``build_ttd_matrix``, ``materialize``).
 """
 
 from __future__ import annotations
@@ -12,8 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import fix_phase, jacobi_eigh
-from .model import SystemConfig, _readonly, subcarrier_frequency, ula_response
+# jacobi_eigh is unused here but stays importable under this name: the
+# benchmark's tracer (bench/spans.py) wraps it at every attribute it is bound to.
+from .linalg import fix_phase, jacobi_eigh  # noqa: F401
+from .model import (SystemConfig, _readonly, freq_ratios, subcarrier_frequencies,
+                    subcarrier_frequency, ula_response)
 
 
 @dataclass(frozen=True)
@@ -59,6 +67,47 @@ class AnalogDesign:
                    delays=np.asarray(data["delays"], float))
 
 
+def _ps_phasors(design: AnalogDesign, cfg: SystemConfig) -> np.ndarray:
+    """Phase-shifter outputs exp(j*pi*phases) / sqrt(n_tx), shape (n_rf, M, N)."""
+    return (1.0 / np.sqrt(cfg.n_tx)) * np.exp(1j * np.pi * design.phases)
+
+
+def _ttd_phasors(design: AnalogDesign, freqs: np.ndarray) -> np.ndarray:
+    """Delay-element outputs exp(-j*2*pi*f*delays), shape (len(freqs), n_rf, M)."""
+    return np.exp(-2j * np.pi * freqs[:, None, None] * design.delays)
+
+
+def _ps_blocks(ps: np.ndarray) -> np.ndarray:
+    """Dense PS matrix F1 from the (n_rf, M, N) phasors; entry (m*N + n, l*M + m) is ps[l, m, n]."""
+    n_rf, m_ttd, n_ps = ps.shape
+    f1 = np.zeros((m_ttd * n_ps, m_ttd * n_rf), dtype=complex)
+    m = np.arange(m_ttd)
+    f1.reshape(m_ttd, n_ps, n_rf, m_ttd)[m, :, :, m] = ps.transpose(1, 2, 0)
+    return f1
+
+
+def _ttd_blocks(ttd: np.ndarray) -> np.ndarray:
+    """Delay matrices F2_k from the (K, n_rf, M) phasors; entry (k, l*M + m, l) is ttd[k, l, m]."""
+    n_sc, n_rf, m_ttd = ttd.shape
+    f2 = np.zeros((n_sc, n_rf * m_ttd, n_rf), dtype=complex)
+    l = np.arange(n_rf)
+    f2.reshape(n_sc, n_rf, m_ttd, n_rf)[:, l, :, l] = ttd.transpose(1, 0, 2)
+    return f2
+
+
+def _compose(ps: np.ndarray, ttd: np.ndarray) -> np.ndarray:
+    """Analog precoders F1 @ F2_k from the phasors, shape (K, n_tx, n_rf).
+
+    Each entry is the single product ps[l, m, n] * ttd[k, l, m], bit-identical
+    to the dense sum of products einsum("ij,jl->il", F1, F2_k). The result is
+    C-ordered: ``metrics.array_gain``'s inner products depend on the column
+    layout in the last bit.
+    """
+    n_rf, m_ttd, n_ps = ps.shape
+    out = np.einsum("lmn,klm->kmnl", ps, ttd, order="C")
+    return out.reshape(ttd.shape[0], m_ttd * n_ps, n_rf)
+
+
 def build_ps_matrix(design: AnalogDesign, cfg: SystemConfig) -> np.ndarray:
     """Phase-shifter precoding matrix, shape (n_tx, M * n_rf).
 
@@ -67,14 +116,7 @@ def build_ps_matrix(design: AnalogDesign, cfg: SystemConfig) -> np.ndarray:
     n_tx * n_rf entries are nonzero.
     """
     design.validate(cfg)
-    n_tx, m_ttd, n_ps = cfg.n_tx, cfg.ttds_per_rf, cfg.ps_per_ttd
-    f1 = np.zeros((n_tx, m_ttd * cfg.n_rf), dtype=complex)
-    scale = 1.0 / np.sqrt(n_tx)
-    for l in range(cfg.n_rf):
-        for m in range(m_ttd):
-            rows = slice(m * n_ps, (m + 1) * n_ps)
-            f1[rows, l * m_ttd + m] = scale * np.exp(1j * np.pi * design.phases[l, m])
-    return f1
+    return _ps_blocks(_ps_phasors(design, cfg))
 
 
 def build_ttd_matrix(design: AnalogDesign, cfg: SystemConfig, k: int) -> np.ndarray:
@@ -84,17 +126,31 @@ def build_ttd_matrix(design: AnalogDesign, cfg: SystemConfig, k: int) -> np.ndar
     entry has modulus 1 on the block diagonal and 0 elsewhere.
     """
     design.validate(cfg)
-    f_k = subcarrier_frequency(cfg, k)
-    m_ttd = cfg.ttds_per_rf
-    f2 = np.zeros((m_ttd * cfg.n_rf, cfg.n_rf), dtype=complex)
-    for l in range(cfg.n_rf):
-        f2[l * m_ttd:(l + 1) * m_ttd, l] = np.exp(-2j * np.pi * f_k * design.delays[l])
-    return f2
+    freq = np.array([subcarrier_frequency(cfg, k)])
+    return _ttd_blocks(_ttd_phasors(design, freq))[0]
 
 
 def composite_precoder(design: AnalogDesign, cfg: SystemConfig, k: int) -> np.ndarray:
-    """Analog precoder F1 @ F2_k at subcarrier k; all entries have modulus 1/sqrt(n_tx)."""
-    return build_ps_matrix(design, cfg) @ build_ttd_matrix(design, cfg, k)
+    """Analog precoder F1 @ F2_k at subcarrier k; all entries have modulus 1/sqrt(n_tx).
+
+    Formed entry by entry from the phasors, like analog_stack; the BLAS
+    product of the dense factors would round differently in the last bit.
+    """
+    design.validate(cfg)
+    freq = np.array([subcarrier_frequency(cfg, k)])
+    return _compose(_ps_phasors(design, cfg), _ttd_phasors(design, freq))[0]
+
+
+def analog_stack(cfg: SystemConfig, design: AnalogDesign) -> np.ndarray:
+    """Analog precoder F1 @ F2_k at every subcarrier, shape (K, n_tx, n_rf).
+
+    One broadcast product of the phase-shifter and delay phasors, with no
+    dense factor and no loop over k; equal to composite_precoder(design, cfg, k)
+    at every k, bit for bit.
+    """
+    design.validate(cfg)
+    return _compose(_ps_phasors(design, cfg),
+                    _ttd_phasors(design, subcarrier_frequencies(cfg)))
 
 
 def ideal_precoder(cfg: SystemConfig, psi: np.ndarray, k: int) -> np.ndarray:
@@ -109,23 +165,42 @@ def ideal_precoder(cfg: SystemConfig, psi: np.ndarray, k: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def digital_precoder(h_k: np.ndarray, f_k: np.ndarray, n_streams: int,
-                     tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
+def ideal_stack(cfg: SystemConfig, psi) -> np.ndarray:
+    """Matched steering precoder at every subcarrier, shape (K, n_tx, len(psi)).
+
+    Keeps ula_steering's order of operations, so entry (k-1, :, l) equals
+    ideal_precoder(cfg, psi, k)[:, l] bit for bit.
+    """
+    psi = np.atleast_1d(np.asarray(psi, float))
+    if np.any(np.abs(psi) > 1):
+        raise ValueError("spatial direction must satisfy |psi| <= 1")
+    i = np.arange(cfg.n_tx)
+    phase = (-1j * np.pi * i)[None, :, None] * freq_ratios(cfg)[:, None, None] * psi
+    return np.exp(phase) / np.sqrt(cfg.n_tx)
+
+
+def _gram(a: np.ndarray) -> np.ndarray:
+    """A^H A over the last two axes."""
+    return a.conj().swapaxes(-1, -2) @ a
+
+
+def digital_precoder(h_k: np.ndarray, f_k: np.ndarray, n_streams: int) -> np.ndarray:
     """Baseband precoder: dominant eigenvectors of (H F)^H (H F), power-normalized.
 
-    The returned W satisfies ||F W||_F^2 = n_streams via a single global scale
-    (only the Frobenius norm is constrained). Eigenvector phases are fixed for
-    determinism; with a degenerate spectrum any orthonormal basis of the
-    dominant eigenspace is a valid result.
+    Takes one subcarrier, h_k (n_rx, n_tx) and f_k (n_tx, n_rf), or stacks of
+    them with matching leading axes, (..., n_rx, n_tx) and (..., n_tx, n_rf),
+    and returns W of shape (..., n_rf, n_streams) from one batched LAPACK
+    eigensolve. Each W satisfies ||F W||_F^2 = n_streams via a single scale
+    (only the Frobenius norm is constrained), taken from the small Gram matrix
+    F^H F. Eigenvector phases are fixed for determinism; with a degenerate
+    spectrum any orthonormal basis of the dominant eigenspace is a valid result.
     """
-    h_eff = h_k @ f_k
-    gram = h_eff.conj().T @ h_eff
-    _, vecs = jacobi_eigh(gram, tol=tol, max_sweeps=max_sweeps)
-    w = fix_phase(vecs[:, :n_streams])
-    norm = np.linalg.norm(f_k @ w)
-    if norm == 0:
+    _, vecs = np.linalg.eigh(_gram(h_k @ f_k))
+    w = fix_phase(vecs[..., ::-1][..., :n_streams])
+    power = np.sum((w.conj() * (_gram(f_k) @ w)).real, axis=(-2, -1))
+    if np.any(power <= 0):
         raise np.linalg.LinAlgError("analog precoder annihilates every stream")
-    return w * (np.sqrt(n_streams) / norm)
+    return w * np.sqrt(n_streams / power)[..., None, None]
 
 
 @dataclass(frozen=True)
@@ -149,13 +224,6 @@ class PrecoderSet:
             if value is not None:
                 object.__setattr__(self, name, _readonly(value))
 
-    def to_dict(self) -> dict:
-        def cplx(a):
-            return None if a is None else {"re": a.real.tolist(), "im": a.imag.tolist()}
-
-        return {"f1": cplx(self.f1), "ttd": cplx(self.ttd), "analog": cplx(self.analog),
-                "ideal": cplx(self.ideal), "digital": cplx(self.digital)}
-
 
 def materialize(cfg: SystemConfig, design: AnalogDesign, psi=None,
                 channel=None) -> PrecoderSet:
@@ -163,17 +231,13 @@ def materialize(cfg: SystemConfig, design: AnalogDesign, psi=None,
 
     psi enables the matched ideal precoder; a ChannelRealization enables the
     digital precoders (computed against the composite analog precoder).
+    Callers that need only the composite stack should use analog_stack.
     """
-    f1 = build_ps_matrix(design, cfg)
-    ttd = np.stack([build_ttd_matrix(design, cfg, k) for k in range(1, cfg.n_subcarriers + 1)])
-    analog = np.einsum("ij,kjl->kil", f1, ttd)
-    ideal = None
-    if psi is not None:
-        ideal = np.stack([ideal_precoder(cfg, psi, k) for k in range(1, cfg.n_subcarriers + 1)])
-    digital = None
-    if channel is not None:
-        digital = np.stack([
-            digital_precoder(channel.h[k - 1], analog[k - 1], cfg.n_streams)
-            for k in range(1, cfg.n_subcarriers + 1)
-        ])
-    return PrecoderSet(f1=f1, ttd=ttd, analog=analog, ideal=ideal, digital=digital)
+    design.validate(cfg)
+    ps = _ps_phasors(design, cfg)
+    ttd = _ttd_phasors(design, subcarrier_frequencies(cfg))
+    analog = _compose(ps, ttd)
+    ideal = None if psi is None else ideal_stack(cfg, psi)
+    digital = None if channel is None else digital_precoder(channel.h, analog, cfg.n_streams)
+    return PrecoderSet(f1=_ps_blocks(ps), ttd=_ttd_blocks(ttd), analog=analog,
+                       ideal=ideal, digital=digital)

@@ -127,6 +127,22 @@ class TestJointDesign:
         gains = composite_gains(cfg, rep.design, 0.8)
         assert np.allclose(gains, 1.0, atol=1e-10)
 
+    @pytest.mark.parametrize("n_tx", [64, 128, 256, 512, 1024])
+    def test_delays_stay_in_budget_at_the_clamp_threshold(self, n_tx):
+        # at t_max = tmax_lower_bound the last element sits exactly on the clamp
+        # threshold, where the unclamped delay used to round one ulp past t_max
+        # (and mirrored directions then got a negative delay)
+        for m_ttd in (1, 2, 4, 8, 16, 32):
+            base = make_config(n_tx=n_tx, ttds_per_rf=m_ttd, ps_per_ttd=n_tx // m_ttd,
+                               n_rx=1, n_rf=1, n_streams=1)
+            for psi in (0.2, 0.5, 0.8, 0.95, 1.0):
+                cfg = base.replace(t_max=dp.tmax_lower_bound(base, psi))
+                for sign in (1.0, -1.0):
+                    design = dp.design_joint(cfg, [sign * psi]).design
+                    assert np.all(design.delays >= 0.0)
+                    assert np.all(design.delays <= cfg.t_max)
+                    design.validate(cfg)
+
     def test_rejects_bad_direction_vector(self, cfg):
         with pytest.raises(ValueError):
             dp.design_joint(cfg, [0.1, 0.2])

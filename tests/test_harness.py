@@ -207,6 +207,24 @@ class TestCli:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_zero_threads_rejected(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, experiment="rate_cdf", trials=2)
+        code = main(["run", str(path), "--threads", "0", "--out-dir", str(tmp_path / "t")])
+        assert code == 1
+        assert "threads must be >= 1" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="threads"):
+            dp.run(dp.Scenario.from_file(path), out_dir=tmp_path / "t", threads=-1)
+
+    def test_budget_at_the_clamp_threshold_runs(self, tmp_path):
+        # 330 ps is tmax_lower_bound at 256 antennas and psi = 0.8: the joint
+        # design's last element sits exactly on the clamp threshold
+        blob = dict(experiment="gain_cdf", config=dict(HEADLINE), psi_eval=0.8,
+                    sweep=[["t_max", [3.3e-10]]])
+        path = tmp_path / "gain.json"
+        path.write_text(json.dumps(blob))
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "gain_cdf_proposed_t_max=3.3e-10.csv").exists()
+
     def test_threads_flag(self, tmp_path):
         path = write_scenario(tmp_path, experiment="rate_cdf", trials=2)
         code = main(["run", str(path), "--threads", "2",

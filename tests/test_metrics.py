@@ -145,6 +145,10 @@ class TestRateLowerBound:
         f = dp.ideal_precoder(cfg, [0.3, -0.2], 5)
         w = np.eye(2, dtype=complex)
         assert dp.rate_lower_bound(h, f, w, cfg.rho, 2) == 0.0
+        # a single receive antenna cannot carry two streams
+        assert dp.rate_lower_bound(h[:1], f, w, cfg.rho, 2) == 0.0
+        stack = np.stack([h[:1]] * 3)
+        assert np.array_equal(dp.rate_lower_bound(stack, f, w, cfg.rho, 2), np.zeros(3))
 
 
 class TestEmpiricalCdf:

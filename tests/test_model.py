@@ -26,6 +26,25 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             make_config(n_streams=2)
 
+    @pytest.mark.parametrize("field, value", [
+        ("t_max", float("nan")), ("rho", float("nan")), ("f_c", float("inf")),
+        ("path_delay_max", float("inf")), ("bandwidth", float("-inf")),
+    ])
+    def test_rejects_non_finite_values(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+            make_config(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_tx", 256.0), ("n_subcarriers", 129.0), ("ps_per_ttd", "16"), ("n_rf", True),
+    ])
+    def test_rejects_non_integral_counts(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            make_config(**{field: value})
+
+    def test_accepts_numpy_scalars(self):
+        cfg = make_config(n_tx=np.int64(256), t_max=np.float64(340e-12))
+        assert cfg.n_tx == 256
+
     def test_warns_when_array_not_large(self):
         with pytest.warns(UserWarning):
             dp.SystemConfig(f_c=300e9, bandwidth=30e9, n_subcarriers=9, n_tx=8,

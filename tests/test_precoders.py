@@ -177,7 +177,7 @@ class TestDigitalPrecoder:
 
 
 class TestMaterialize:
-    def test_stack_shapes_and_serialization(self):
+    def test_stack_shapes(self):
         cfg = make_config(n_tx=32, ttds_per_rf=4, ps_per_ttd=8, n_subcarriers=9)
         design = random_design(cfg, 2)
         channel = dp.sample_channel(cfg, dp.make_rng(1))
@@ -187,8 +187,6 @@ class TestMaterialize:
         assert pset.analog.shape == (9, 32, 4)
         assert pset.ideal.shape == (9, 32, 4)
         assert pset.digital.shape == (9, 4, 4)
-        blob = pset.to_dict()
-        assert np.allclose(np.array(blob["analog"]["re"]), pset.analog.real)
 
     def test_analog_design_json_round_trip(self, cfg):
         design = random_design(cfg, 9)
