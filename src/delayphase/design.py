@@ -131,7 +131,8 @@ def nt_upper_bound(cfg: SystemConfig, psi_max: float):
     """Largest antenna count that keeps every element unclamped, floored to an int.
 
     Affine in f_c * t_max:  M/(2M-1) + (4M/(2M-1)) * f_c * t_max / psi_max.
-    psi_max = 0 places no restriction; returns math.inf as the sentinel.
+    psi_max = 0 places no restriction; returns math.inf as the sentinel, as it
+    does when a tiny psi_max makes the bound overflow.
     """
     if psi_max < 0:
         raise ValueError("psi_max must be non-negative")
@@ -139,7 +140,7 @@ def nt_upper_bound(cfg: SystemConfig, psi_max: float):
         return math.inf
     m = cfg.ttds_per_rf
     bound = m / (2 * m - 1) + (4 * m / (2 * m - 1)) * cfg.f_c * cfg.t_max / psi_max
-    return int(math.floor(bound))
+    return int(math.floor(bound)) if math.isfinite(bound) else math.inf
 
 
 def tmax_lower_bound(cfg: SystemConfig, psi_max: float) -> float:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import datetime as _dt
 import json
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields as dc_fields
@@ -39,6 +40,7 @@ except Exception:  # pragma: no cover - not installed
 
 EXPERIMENTS = ("gain_cdf", "rate_cdf", "sizing", "prop1_sweep", "criteria_report")
 DESIGN_NAMES = ("proposed", "benchmark", "ideal")
+PROP1_SWEEP = [("n_tx", [128, 256, 512, 1024])]  # prop1_sweep's points when none are given
 _CONFIG_FIELDS = {f.name for f in dc_fields(SystemConfig)}
 
 
@@ -55,6 +57,7 @@ class Scenario:
     out_dir: str = "results"
 
     def __post_init__(self):
+        """Reject bad input here, so that a run never fails halfway through."""
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}; pick one of {EXPERIMENTS}")
         for param, values in self.sweep:
@@ -62,8 +65,17 @@ class Scenario:
                 raise ValueError(f"sweep parameter {param!r} is not a config field")
             if not isinstance(values, (list, tuple)) or not values:
                 raise ValueError(f"sweep values for {param!r} must be a non-empty list")
-        if self.experiment == "rate_cdf" and self.trials < 1:
-            raise ValueError("rate_cdf needs trials >= 1")
+            if self.experiment == "prop1_sweep" and param != "n_tx":
+                raise ValueError("prop1_sweep sweeps n_tx only")
+        if (isinstance(self.trials, bool) or not isinstance(self.trials, numbers.Integral)
+                or self.trials < 1):
+            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
+        if not (isinstance(self.psi_eval, numbers.Real) and abs(self.psi_eval) <= 1):
+            raise ValueError(f"psi_eval must be a number with |psi_eval| <= 1, "
+                             f"got {self.psi_eval!r}")
+        if not (isinstance(self.g0, numbers.Real) and 0 < self.g0 < 1):
+            raise ValueError(f"g0 must lie strictly between 0 and 1, got {self.g0!r}")
+        _sweep_points(self)  # builds, and so validates, the config of every point
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
@@ -115,19 +127,24 @@ def _write_table(path: Path, header, rows, fmt: str) -> Path:
 
 
 def _sweep_points(scenario: Scenario):
-    """Expand the sweep into (param, value, config) triples; no sweep -> base config."""
-    if not scenario.sweep:
+    """Expand the sweep into (param, value, config) triples; no sweep -> base config.
+
+    prop1_sweep without a sweep runs over PROP1_SWEEP.
+    """
+    sweep = scenario.sweep
+    if not sweep and scenario.experiment == "prop1_sweep":
+        sweep = PROP1_SWEEP
+    if not sweep:
         return [(None, None, scenario.config)]
-    points = []
-    for param, values in scenario.sweep:
-        for value in values:
-            points.append((param, value, _apply_sweep(scenario.config, param, value)))
-    return points
+    return [(param, value, _apply_sweep(scenario.config, param, value))
+            for param, values in sweep for value in values]
 
 
 def _apply_sweep(cfg: SystemConfig, param: str, value) -> SystemConfig:
     if param == "n_tx":
         # keep the delay-element count, rebalance phase shifters per element
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"n_tx must be an integer, got {value!r}")
         if value % cfg.ttds_per_rf != 0:
             raise ValueError(f"n_tx={value} not divisible by ttds_per_rf={cfg.ttds_per_rf}")
         return cfg.replace(n_tx=int(value), ps_per_ttd=int(value) // cfg.ttds_per_rf)
@@ -228,17 +245,12 @@ def _sizing_tables(scenario: Scenario, files, out_dir, fmt):
 
 
 def _prop1_tables(scenario: Scenario, files, out_dir, fmt):
-    sweep = scenario.sweep or [("n_tx", [128, 256, 512, 1024])]
     rows = []
-    for param, values in sweep:
-        if param != "n_tx":
-            raise ValueError("prop1_sweep sweeps n_tx only")
-        for value in values:
-            cfg = _apply_sweep(scenario.config, param, value)
-            flat = ula_response(cfg, cfg.center_subcarrier, scenario.psi_eval)
-            edge = metrics.array_gain(flat, cfg, cfg.n_subcarriers, scenario.psi_eval)
-            center = metrics.array_gain(flat, cfg, cfg.center_subcarrier, scenario.psi_eval)
-            rows.append((int(value), edge, center))
+    for _, value, cfg in _sweep_points(scenario):
+        flat = ula_response(cfg, cfg.center_subcarrier, scenario.psi_eval)
+        edge = metrics.array_gain(flat, cfg, cfg.n_subcarriers, scenario.psi_eval)
+        center = metrics.array_gain(flat, cfg, cfg.center_subcarrier, scenario.psi_eval)
+        rows.append((int(value), edge, center))
     rows.sort(key=lambda r: r[0])
     files.append(_write_table(out_dir / "prop1_sweep",
                               ("n_tx", "gain_edge", "gain_center"), rows, fmt))

@@ -15,7 +15,10 @@ import numpy as np
 # jacobi_eigh is unused here but stays importable under this name: the
 # benchmark's tracer (bench/spans.py) wraps it at every attribute it is bound to.
 from .linalg import jacobi_eigh  # noqa: F401
-from .model import SystemConfig, _readonly, freq_ratio, ula_response
+from .model import (SystemConfig, _readonly, freq_ratio, freq_ratios, steering_stack,
+                    ula_response)
+
+NORM_TOL = 1e-9  # allowed deviation of a precoder column's 2-norm from 1
 
 
 def squint_offset(cfg: SystemConfig, k: int, psi: float) -> float:
@@ -26,10 +29,9 @@ def squint_offset(cfg: SystemConfig, k: int, psi: float) -> float:
 def array_gain(f: np.ndarray, cfg: SystemConfig, k: int, psi: float) -> float:
     """|v_k(psi)^H f| for a unit-norm precoder column f (norm enforced to 1e-9)."""
     f = np.asarray(f)
-    if abs(np.linalg.norm(f) - 1.0) > 1e-9:
+    if abs(np.linalg.norm(f) - 1.0) > NORM_TOL:
         raise ValueError("precoder column must have unit 2-norm")
-    v = ula_response(cfg, k, psi)
-    return float(abs(np.vdot(v, f)))
+    return float(abs(np.vdot(ula_response(cfg, k, psi), f)))
 
 
 def dirichlet_gain(n: int, delta) -> np.ndarray | float:
@@ -104,16 +106,16 @@ def rate_lower_bound(h_k: np.ndarray, f_k: np.ndarray, w_k: np.ndarray,
     return _float_or_array(np.where(full, bound, 0.0))
 
 
-def empirical_cdf(values, grid=None):
+def empirical_cdf(values):
     """Empirical CDF of a sample: fraction of entries <= x.
 
-    Evaluated at the sorted sample points plus any supplied grid points;
-    returns (x, cdf) arrays with cdf non-decreasing and ending at 1.
+    Evaluated at the distinct sample points; returns (x, cdf) arrays with cdf
+    increasing and ending at 1.
     """
     values = np.asarray(values, float).ravel()
     if values.size == 0:
         raise ValueError("empirical_cdf needs at least one value")
-    xs = np.unique(values if grid is None else np.concatenate([values, np.asarray(grid, float).ravel()]))
+    xs = np.unique(values)
     sorted_vals = np.sort(values)
     cdf = np.searchsorted(sorted_vals, xs, side="right") / values.size
     return xs, cdf
@@ -150,24 +152,30 @@ class RateProfile:
             object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), float)))
 
 
-def gain_profile(cfg: SystemConfig, columns: np.ndarray, psi: float,
-                 grid=None) -> GainProfile:
-    """Evaluate one precoder column per subcarrier (shape (K, n_tx)) at direction psi."""
+def gain_profile(cfg: SystemConfig, columns: np.ndarray, psi: float) -> GainProfile:
+    """Evaluate one precoder column per subcarrier (shape (K, n_tx)) at direction psi.
+
+    Row k - 1 gives array_gain(columns[k - 1], cfg, k, psi), bit for bit: the
+    steering vectors come from one stack, but each gain is still its own
+    np.vdot, because a batched inner product rounds differently in the last bit.
+    """
     columns = np.asarray(columns)
     if columns.shape != (cfg.n_subcarriers, cfg.n_tx):
         raise ValueError("columns must have shape (K, n_tx)")
-    gains = np.array([array_gain(columns[k - 1], cfg, k, psi)
-                      for k in range(1, cfg.n_subcarriers + 1)])
+    if np.any(np.abs(np.linalg.norm(columns, axis=1) - 1.0) > NORM_TOL):
+        raise ValueError("precoder column must have unit 2-norm")
+    steering = steering_stack(cfg.n_tx, freq_ratios(cfg), psi)[:, :, 0]
+    gains = np.array([abs(np.vdot(v, f)) for v, f in zip(steering, columns)])
     if np.any(gains > 1.0 + 1e-12) or np.any(gains < 0.0):
         raise ValueError("array gain outside [0, 1]")
-    xs, cdf = empirical_cdf(gains, grid)
+    xs, cdf = empirical_cdf(gains)
     return GainProfile(psi=float(psi), gains=gains, cdf_x=xs, cdf_y=cdf)
 
 
-def rate_profile(rates, grid=None) -> RateProfile:
+def rate_profile(rates) -> RateProfile:
     """Wrap a rate sample (any shape) into a profile with mean and CDF."""
     rates = np.asarray(rates, float).ravel()
     if np.any(rates < 0):
         raise ValueError("rates must be non-negative")
-    xs, cdf = empirical_cdf(rates, grid)
+    xs, cdf = empirical_cdf(rates)
     return RateProfile(rates=rates, mean_rate=float(rates.mean()), cdf_x=xs, cdf_y=cdf)

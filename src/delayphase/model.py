@@ -141,9 +141,7 @@ def _check_index(cfg: SystemConfig, k: int) -> int:
 
 def subcarrier_frequency(cfg: SystemConfig, k: int) -> float:
     """Frequency of the k-th subcarrier (1-based): f_c + (B/K)(k - 1 - (K-1)/2)."""
-    k = _check_index(cfg, k)
-    K = cfg.n_subcarriers
-    return cfg.f_c + (cfg.bandwidth / K) * (k - 1 - (K - 1) / 2)
+    return float(subcarrier_frequencies(cfg)[_check_index(cfg, k) - 1])
 
 
 def subcarrier_frequencies(cfg: SystemConfig) -> np.ndarray:
@@ -155,9 +153,7 @@ def subcarrier_frequencies(cfg: SystemConfig) -> np.ndarray:
 
 def freq_ratio(cfg: SystemConfig, k: int) -> float:
     """Ratio f_k / f_c; scales spatial directions from the carrier to subcarrier k."""
-    k = _check_index(cfg, k)
-    K = cfg.n_subcarriers
-    return 1.0 + (cfg.bandwidth / cfg.f_c) * ((k - 1 - (K - 1) / 2) / K)
+    return float(freq_ratios(cfg)[_check_index(cfg, k) - 1])
 
 
 def freq_ratios(cfg: SystemConfig) -> np.ndarray:
@@ -167,37 +163,31 @@ def freq_ratios(cfg: SystemConfig) -> np.ndarray:
     return 1.0 + (cfg.bandwidth / cfg.f_c) * ((k - 1 - (K - 1) / 2) / K)
 
 
-def ula_steering(n_elements: int, ratio: float, psi: float) -> np.ndarray:
-    """Unit-norm ULA response for a half-wavelength array.
+def steering_stack(n_elements: int, ratios, psi) -> np.ndarray:
+    """Unit-norm ULA responses for every frequency ratio and direction.
 
-    Element i (0-based) carries the phase -pi * i * ratio * psi, where ratio is
-    the subcarrier-to-carrier frequency ratio and psi the spatial direction.
+    Shape (len(ratios), n_elements, len(psi)). Element i (0-based) carries the
+    phase ((-pi * i) * ratio) * psi, evaluated in that order, where ratio is the
+    subcarrier-to-carrier frequency ratio and psi the spatial direction
+    (|psi| <= 1) of a half-wavelength array.
     """
+    ratios = np.atleast_1d(np.asarray(ratios, float))
+    psi = np.atleast_1d(np.asarray(psi, float))
+    if (np.abs(psi) > 1).any():
+        raise ValueError("spatial direction must satisfy |psi| <= 1")
     i = np.arange(n_elements)
-    return np.exp(-1j * np.pi * i * ratio * psi) / np.sqrt(n_elements)
+    phase = (-1j * np.pi * i)[None, :, None] * ratios[:, None, None] * psi
+    return np.exp(phase) / np.sqrt(n_elements)
+
+
+def ula_steering(n_elements: int, ratio: float, psi: float) -> np.ndarray:
+    """Unit-norm ULA response at one frequency ratio and direction, shape (n_elements,)."""
+    return steering_stack(n_elements, ratio, psi)[0, :, 0]
 
 
 def ula_response(cfg: SystemConfig, k: int, psi: float) -> np.ndarray:
     """Transmit-array response vector at subcarrier k toward direction psi (|psi| <= 1)."""
-    if abs(psi) > 1:
-        raise ValueError("spatial direction must satisfy |psi| <= 1")
     return ula_steering(cfg.n_tx, freq_ratio(cfg, k), psi)
-
-
-def ura_response(cfg: SystemConfig, k: int, azimuth: float, elevation: float,
-                 n_y: int, n_z: int) -> np.ndarray:
-    """Rectangular-array response: Kronecker product of the y- and z-axis factors.
-
-    The y factor steers by sin(azimuth)*sin(elevation), the z factor by
-    cos(elevation), both scaled by the subcarrier frequency ratio. Requires
-    n_y * n_z == cfg.n_tx.
-    """
-    if n_y * n_z != cfg.n_tx:
-        raise ValueError("n_y * n_z must equal cfg.n_tx")
-    ratio = freq_ratio(cfg, k)
-    vy = ula_steering(n_y, ratio, np.sin(azimuth) * np.sin(elevation))
-    vz = ula_steering(n_z, ratio, np.cos(elevation))
-    return np.kron(vy, vz)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

@@ -6,9 +6,9 @@ subcarrier-dependent delay matrix; their product has constant entry modulus
 radians and converted to complex exponentials only here.
 
 The stacks over all subcarriers (``analog_stack``, ``ideal_stack``) are single
-broadcast kernels along the subcarrier axis, and ``digital_precoder`` accepts
-stacks as well as single subcarriers; the dense factors F1 and F2_k are formed
-only on request (``build_ps_matrix``, ``build_ttd_matrix``, ``materialize``).
+broadcast kernels along the subcarrier axis; subcarrier k is slice k - 1 of a
+stack. ``digital_precoder`` accepts stacks as well as single subcarriers. The
+dense factors F1 and F2_k are formed only by ``materialize``.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import numpy as np
 # jacobi_eigh is unused here but stays importable under this name: the
 # benchmark's tracer (bench/spans.py) wraps it at every attribute it is bound to.
 from .linalg import fix_phase, jacobi_eigh  # noqa: F401
-from .model import (SystemConfig, _readonly, freq_ratios, subcarrier_frequencies,
-                    subcarrier_frequency, ula_response)
+from .model import (SystemConfig, _readonly, freq_ratio, freq_ratios, steering_stack,
+                    subcarrier_frequencies)
 
 
 @dataclass(frozen=True)
@@ -108,75 +108,31 @@ def _compose(ps: np.ndarray, ttd: np.ndarray) -> np.ndarray:
     return out.reshape(ttd.shape[0], m_ttd * n_ps, n_rf)
 
 
-def build_ps_matrix(design: AnalogDesign, cfg: SystemConfig) -> np.ndarray:
-    """Phase-shifter precoding matrix, shape (n_tx, M * n_rf).
-
-    Concatenation of n_rf block-diagonal submatrices; subarray m of chain l
-    holds the unit-modulus column exp(j*pi*phases[l, m]) / sqrt(n_tx). Exactly
-    n_tx * n_rf entries are nonzero.
-    """
-    design.validate(cfg)
-    return _ps_blocks(_ps_phasors(design, cfg))
-
-
-def build_ttd_matrix(design: AnalogDesign, cfg: SystemConfig, k: int) -> np.ndarray:
-    """Delay precoding matrix at subcarrier k, shape (M * n_rf, n_rf).
-
-    Block diagonal of the per-chain vectors exp(-j*2*pi*f_k*delays[l]); every
-    entry has modulus 1 on the block diagonal and 0 elsewhere.
-    """
-    design.validate(cfg)
-    freq = np.array([subcarrier_frequency(cfg, k)])
-    return _ttd_blocks(_ttd_phasors(design, freq))[0]
-
-
-def composite_precoder(design: AnalogDesign, cfg: SystemConfig, k: int) -> np.ndarray:
-    """Analog precoder F1 @ F2_k at subcarrier k; all entries have modulus 1/sqrt(n_tx).
-
-    Formed entry by entry from the phasors, like analog_stack; the BLAS
-    product of the dense factors would round differently in the last bit.
-    """
-    design.validate(cfg)
-    freq = np.array([subcarrier_frequency(cfg, k)])
-    return _compose(_ps_phasors(design, cfg), _ttd_phasors(design, freq))[0]
-
-
 def analog_stack(cfg: SystemConfig, design: AnalogDesign) -> np.ndarray:
     """Analog precoder F1 @ F2_k at every subcarrier, shape (K, n_tx, n_rf).
 
     One broadcast product of the phase-shifter and delay phasors, with no
-    dense factor and no loop over k; equal to composite_precoder(design, cfg, k)
-    at every k, bit for bit.
+    dense factor and no loop over k. Slice k - 1 is the precoder of subcarrier k.
     """
     design.validate(cfg)
     return _compose(_ps_phasors(design, cfg),
                     _ttd_phasors(design, subcarrier_frequencies(cfg)))
 
 
-def ideal_precoder(cfg: SystemConfig, psi: np.ndarray, k: int) -> np.ndarray:
-    """Per-subcarrier matched steering matrix, shape (n_tx, n_rf).
+def ideal_precoder(cfg: SystemConfig, psi, k: int) -> np.ndarray:
+    """Per-subcarrier matched steering matrix, shape (n_tx, len(psi)).
 
     Column l is the array response toward psi[l] at subcarrier k, so the array
     gain of every column is exactly 1. Physically realizable only with one
-    delay element per antenna.
+    delay element per antenna. Equal to ideal_stack(cfg, psi)[k - 1], bit for
+    bit, without building the other subcarriers.
     """
-    psi = np.atleast_1d(np.asarray(psi, float))
-    cols = [ula_response(cfg, k, p) for p in psi]
-    return np.stack(cols, axis=1)
+    return steering_stack(cfg.n_tx, freq_ratio(cfg, k), psi)[0]
 
 
 def ideal_stack(cfg: SystemConfig, psi) -> np.ndarray:
-    """Matched steering precoder at every subcarrier, shape (K, n_tx, len(psi)).
-
-    Keeps ula_steering's order of operations, so entry (k-1, :, l) equals
-    ideal_precoder(cfg, psi, k)[:, l] bit for bit.
-    """
-    psi = np.atleast_1d(np.asarray(psi, float))
-    if np.any(np.abs(psi) > 1):
-        raise ValueError("spatial direction must satisfy |psi| <= 1")
-    i = np.arange(cfg.n_tx)
-    phase = (-1j * np.pi * i)[None, :, None] * freq_ratios(cfg)[:, None, None] * psi
-    return np.exp(phase) / np.sqrt(cfg.n_tx)
+    """Matched steering precoder at every subcarrier, shape (K, n_tx, len(psi))."""
+    return steering_stack(cfg.n_tx, freq_ratios(cfg), psi)
 
 
 def _gram(a: np.ndarray) -> np.ndarray:

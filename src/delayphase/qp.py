@@ -17,7 +17,6 @@ the delay coordinate is tiny and float64 cancellation would dominate the
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,7 @@ from .linalg import solve_dense
 from .model import SystemConfig, freq_ratios
 
 LONG = np.longdouble
+KKT_CHECK_TOL = 1e-9  # largest first-order residual solve_kkt accepts
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ class KKTSolution:
     case: str  # "interior" | "upper" | "lower"
 
 
-def solve_kkt(branch: BranchQP, check_tol: float = 1e-9) -> KKTSolution:
+def solve_kkt(branch: BranchQP) -> KKTSolution:
     """Optimal branch solution from the multiplier case analysis.
 
     The unconstrained delay coordinate is e^T C^{-1} d; depending on where it
@@ -165,7 +165,7 @@ def solve_kkt(branch: BranchQP, check_tol: float = 1e-9) -> KKTSolution:
     e[n] = 1.0
     stat = 2.0 * (branch.C @ a - d) + (lam_upper - lam_lower) * e
     slack = abs(lam_upper * (a[n] - theta_max)) + abs(lam_lower * a[n])
-    if (np.max(np.abs(stat)) > check_tol or slack > check_tol
+    if (np.max(np.abs(stat)) > KKT_CHECK_TOL or slack > KKT_CHECK_TOL
             or lam_upper < 0 or lam_lower < 0 or not 0 <= a[n] <= theta_max):
         raise ArithmeticError(
             f"KKT case analysis inconsistent: case={case}, "
@@ -221,34 +221,3 @@ def solve_projected(branch: BranchQP, tol: float = 1e-10, max_iter: int = 500_00
         f"projected gradient did not converge in {max_iter} iterations; "
         f"last step size {float(delta):.3e} (target {float(stop):.3e})"
     )
-
-
-def chord_and_arc(x: float, y: float) -> tuple:
-    """Distance on the unit circle versus phase distance: (|e^jx - e^jy|, |x - y|).
-
-    For |x - y| < pi the chord is 2 sin(|x - y| / 2), a strictly increasing
-    function of the arc, so both distances are minimized at the same argument.
-    """
-    chord = abs(np.exp(1j * x) - np.exp(1j * y))
-    return float(chord), float(abs(x - y))
-
-
-AUDIT_FIELDS = ("chain", "element", "n_ps", "psi", "theta_max", "eta",
-                "case", "max_coord_diff")
-
-
-def audit_record(branch: BranchQP, kkt: KKTSolution, pgd: np.ndarray) -> dict:
-    """One comparison row between the analytic and iterative solutions."""
-    diff = float(np.max(np.abs(np.asarray(kkt.a, float) - np.asarray(pgd, float))))
-    return {"chain": branch.chain, "element": branch.element, "n_ps": branch.n_ps,
-            "psi": branch.psi, "theta_max": branch.theta_max, "eta": branch.eta,
-            "case": kkt.case, "max_coord_diff": diff}
-
-
-def dump_audit_csv(path, records) -> None:
-    """Write solver-agreement audit rows to CSV."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=AUDIT_FIELDS, lineterminator="\n")
-        writer.writeheader()
-        for rec in records:
-            writer.writerow(rec)

@@ -2,8 +2,9 @@
 
 Two routes to the same question: a closed form built on a second-order
 approximation of the subarray gain (conservative for small squint offsets),
-and an exact greedy search over the divisors of the antenna count. Both
-round up to a divisor of n_tx so the array splits into equal subarrays.
+and an exact greedy search over the divisors of the antenna count, which
+``size_ttds`` runs on its per-divisor gain trace. Both round up to a divisor
+of n_tx so the array splits into equal subarrays.
 """
 
 from __future__ import annotations
@@ -54,12 +55,18 @@ def taylor_gain(n_tx: int, m: int, delta) -> np.ndarray | float:
 
 def gain_margin(g0: float, bandwidth: float, f_c: float, n_subcarriers: int,
                 psi_max: float) -> float:
-    """Gain headroom constant: 6 (1 - g0) / ((pi/2) (B/f_c) (K-1)/(2K))^2 / psi_max^2."""
+    """Gain headroom constant: 6 (1 - g0) / ((pi/2) (B/f_c) (K-1)/(2K))^2 / psi_max^2.
+
+    Infinite without squint (a single subcarrier or zero bandwidth), where one
+    delay element per RF chain already meets any g0.
+    """
     if not 0 < g0 < 1:
         raise ValueError("g0 must lie strictly between 0 and 1")
     if psi_max <= 0:
         raise ValueError("psi_max must be positive")
     edge = (np.pi / 2.0) * (bandwidth / f_c) * (n_subcarriers - 1) / (2.0 * n_subcarriers)
+    if edge == 0:
+        return math.inf
     return 6.0 * (1.0 - g0) / (edge * edge * psi_max * psi_max)
 
 
@@ -72,23 +79,10 @@ def min_ttds(cfg: SystemConfig, g0: float, psi_max: float) -> int:
     return divisor_ceiling(math.sqrt(cfg.n_tx**2 / (1.0 + omega)), cfg.n_tx)
 
 
-def worst_subarray_gain(cfg: SystemConfig, m: int, psi_set) -> float:
-    """Minimum over subcarriers and directions of the (n_tx/m)-element subarray gain."""
+def worst_subarray_gain(cfg: SystemConfig, m: int, psi: float) -> float:
+    """Minimum over subcarriers of the (n_tx/m)-element subarray gain at direction psi."""
     deltas = 0.5 * np.pi * (freq_ratios(cfg) - 1.0)
-    worst = 1.0
-    for psi in np.atleast_1d(psi_set):
-        g = dirichlet_gain(cfg.n_tx // m, deltas * psi)
-        worst = min(worst, float(np.min(g)))
-    return worst
-
-
-def min_ttds_exact(cfg: SystemConfig, g0: float, psi_set) -> int:
-    """Greedy oracle: smallest divisor m of n_tx whose subarray gain is >= g0
-    at every subcarrier for every supplied direction."""
-    for m in divisors(cfg.n_tx):
-        if worst_subarray_gain(cfg, m, psi_set) >= g0:
-            return m
-    return cfg.n_tx  # unreachable: m = n_tx gives gain 1 everywhere
+    return min(1.0, float(np.min(dirichlet_gain(cfg.n_tx // m, deltas * psi))))
 
 
 def min_ttds_linear(cfg: SystemConfig, g0: float, psi_max: float) -> float:
@@ -104,10 +98,13 @@ def min_ttds_linear(cfg: SystemConfig, g0: float, psi_max: float) -> float:
         psi_max**2 / (6.0 * (1.0 - g0))) * cfg.bandwidth
 
 
-def power_consumption_mw(n_rf: int, m: int, n_tx: int,
-                         p_ttd_mw: float = 100.0, p_ps_mw: float = 20.0) -> float:
+P_TTD_MW = 100.0  # power of one delay element
+P_PS_MW = 20.0  # power of one phase shifter
+
+
+def power_consumption_mw(n_rf: int, m: int, n_tx: int) -> float:
     """Analog front-end power: n_rf*m delay elements plus n_rf*n_tx phase shifters."""
-    return n_rf * m * p_ttd_mw + n_rf * n_tx * p_ps_mw
+    return n_rf * m * P_TTD_MW + n_rf * n_tx * P_PS_MW
 
 
 @dataclass(frozen=True)
@@ -135,7 +132,11 @@ class SizingResult:
 
 
 def size_ttds(cfg: SystemConfig, g0: float, psi_max: float) -> SizingResult:
-    """Run both sizing routes and collect the per-divisor gain trace for audit."""
+    """Run both sizing routes and collect the per-divisor gain trace for audit.
+
+    ``m_exact`` is the greedy oracle: the smallest divisor m of n_tx whose
+    worst-subcarrier gain in the trace is >= g0.
+    """
     omega = gain_margin(g0, cfg.bandwidth, cfg.f_c, cfg.n_subcarriers, psi_max)
     m_star = min_ttds(cfg, g0, psi_max)
     trace = {m: worst_subarray_gain(cfg, m, psi_max) for m in divisors(cfg.n_tx)}

@@ -1,6 +1,7 @@
 import warnings
 
 import pytest
+from hypothesis import strategies as st
 
 from delayphase import SystemConfig
 
@@ -32,3 +33,19 @@ def make_config(**overrides) -> SystemConfig:
 @pytest.fixture
 def cfg() -> SystemConfig:
     return make_config()
+
+
+@st.composite
+def systems(draw):
+    """Small configurations with n_streams = n_rf = n_rx, as the model requires."""
+    m_ttd = draw(st.integers(1, 8))
+    n_ps = draw(st.integers(1, 8))
+    n_rf = draw(st.integers(1, min(4, m_ttd * n_ps)))
+    return make_config(
+        n_tx=m_ttd * n_ps, ttds_per_rf=m_ttd, ps_per_ttd=n_ps,
+        n_rx=n_rf, n_rf=n_rf, n_streams=n_rf,
+        n_subcarriers=2 * draw(st.integers(0, 20)) + 1,
+        bandwidth=draw(st.floats(1e9, 1e11)),
+        t_max=draw(st.floats(1e-12, 1e-9)),
+        rho=draw(st.floats(0.1, 100.0)),
+    )

@@ -1,8 +1,9 @@
 """Property tests: every batched kernel against the per-subcarrier reference it replaces.
 
-The analog and ideal stacks must equal their per-subcarrier builders bit for
-bit. The batched rate path must agree to 1e-12 relative with a loop over k of
-the eigenvalue formulas it replaced, which run on the cyclic-Jacobi solver.
+The analog and ideal stacks must equal their per-subcarrier builders, and
+gain_profile a loop of array_gain over the subcarriers, bit for bit. The
+batched rate path must agree to 1e-12 relative with a loop over k of the
+eigenvalue formulas it replaced, which run on the cyclic-Jacobi solver.
 The numerical comparisons draw a fixed sequence of examples (derandomize), so
 the suite's verdict does not change from run to run.
 """
@@ -12,28 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import delayphase as dp
-from conftest import make_config
+from conftest import systems
 from delayphase import harness
 from delayphase.linalg import fix_phase, jacobi_eigh
 
 RTOL = 1e-12
-
-
-@st.composite
-def systems(draw):
-    """Small configurations with n_streams = n_rf = n_rx, as the model requires."""
-    m_ttd = draw(st.integers(1, 8))
-    n_ps = draw(st.integers(1, 8))
-    n_rf = draw(st.integers(1, min(4, m_ttd * n_ps)))
-    return make_config(
-        n_tx=m_ttd * n_ps, ttds_per_rf=m_ttd, ps_per_ttd=n_ps,
-        n_rx=n_rf, n_rf=n_rf, n_streams=n_rf,
-        n_subcarriers=2 * draw(st.integers(0, 20)) + 1,
-        bandwidth=draw(st.floats(1e9, 1e11)),
-        t_max=draw(st.floats(1e-12, 1e-9)),
-        rho=draw(st.floats(0.1, 100.0)),
-    )
-
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -104,23 +88,38 @@ def test_analog_stack_matches_composite_precoder(cfg, seed):
     stack = dp.analog_stack(cfg, design)
     pset = dp.materialize(cfg, design)
     assert_same_bits(pset.analog, stack)
-    f1 = dp.build_ps_matrix(design, cfg)
-    assert_same_bits(pset.f1, f1)
     for k in subcarriers(cfg):
-        f2 = dp.build_ttd_matrix(design, cfg, k)
-        assert_same_bits(pset.ttd[k - 1], f2)
-        # the dense sum of products over F1's columns, zeros included, that
-        # materialize evaluated before the stack became one broadcast kernel
-        assert_same_bits(stack[k - 1], np.einsum("ij,jl->il", f1, f2))
-        assert_same_bits(stack[k - 1], dp.composite_precoder(design, cfg, k))
+        # the dense sum of products F1 @ F2_k over F1's columns, zeros
+        # included, that materialize evaluated before the stack became one
+        # broadcast kernel
+        assert_same_bits(stack[k - 1], np.einsum("ij,jl->il", pset.f1, pset.ttd[k - 1]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(cfg=systems(), psi=st.lists(st.floats(-1, 1), min_size=1, max_size=4))
 def test_ideal_stack_matches_ideal_precoder(cfg, psi):
     stack = dp.ideal_stack(cfg, psi)
+    i = np.arange(cfg.n_tx)
     for k in subcarriers(cfg):
         assert_same_bits(stack[k - 1], dp.ideal_precoder(cfg, psi, k))
+        # the per-column steering formula the stack replaced
+        ratio = dp.freq_ratio(cfg, k)
+        columns = [np.exp(-1j * np.pi * i * ratio * p) / np.sqrt(cfg.n_tx) for p in psi]
+        assert_same_bits(stack[k - 1], np.stack(columns, axis=1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=systems(), psi=st.floats(-1, 1), seed=seeds)
+def test_gain_profile_matches_array_gain_loop(cfg, psi, seed):
+    directions = [psi] * cfg.n_rf
+    stacks = (dp.analog_stack(cfg, dp.design_joint(cfg, directions).design),
+              dp.analog_stack(cfg, dp.design_benchmark(cfg, directions)),
+              dp.analog_stack(cfg, random_design(cfg, seed)),
+              dp.ideal_stack(cfg, [psi]))
+    for stack in stacks:
+        columns = stack[:, :, 0]
+        want = np.array([dp.array_gain(columns[k - 1], cfg, k, psi) for k in subcarriers(cfg)])
+        assert_same_bits(dp.gain_profile(cfg, columns, psi).gains, want)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -154,14 +153,13 @@ def test_rate_path_matches_per_subcarrier_reference(cfg, seed):
 def reference_trial(cfg, seed, point_index, trial):
     channel = dp.sample_channel(cfg, dp.make_rng(seed, stream=(point_index, trial)))
     psi = channel.paths.psi_tx
-    designs = {"proposed": dp.design_joint(cfg, psi).design,
-               "benchmark": dp.design_benchmark(cfg, psi)}
+    analog = {"proposed": dp.analog_stack(cfg, dp.design_joint(cfg, psi).design),
+              "benchmark": dp.analog_stack(cfg, dp.design_benchmark(cfg, psi))}
     out = {}
     for name in harness.DESIGN_NAMES:
         rates = []
         for k in subcarriers(cfg):
-            f = (dp.ideal_precoder(cfg, psi, k) if name == "ideal" else
-                 dp.composite_precoder(designs[name], cfg, k))
+            f = dp.ideal_precoder(cfg, psi, k) if name == "ideal" else analog[name][k - 1]
             h = channel.h[k - 1]
             w = reference_digital(h, f, cfg.n_streams)
             rates.append(reference_rate(h, f, w, cfg.rho, cfg.n_streams))

@@ -209,6 +209,7 @@ class TestCriteria:
 
     def test_antenna_bound_unbounded_sentinel(self, cfg):
         assert dp.nt_upper_bound(cfg, 0.0) == math.inf
+        assert dp.nt_upper_bound(cfg, 5e-324) == math.inf  # the bound overflows
         with pytest.raises(ValueError):
             dp.nt_upper_bound(cfg, -0.1)
 

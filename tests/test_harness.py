@@ -48,6 +48,25 @@ class TestScenario:
         with pytest.raises(ValueError, match="trials"):
             dp.Scenario.from_file(path)
 
+    @pytest.mark.parametrize("fields, message", [
+        (dict(psi_eval=float("nan")), "psi_eval"),
+        (dict(psi_eval=1.5), "psi_eval"),
+        (dict(experiment="sizing", g0=1.5), "g0"),
+        (dict(experiment="rate_cdf", trials=2.5), "trials"),
+        (dict(experiment="rate_cdf", trials=True), "trials"),
+        (dict(config=dict(HEADLINE), sweep=[["n_tx", [100]]]), "not divisible"),
+        (dict(sweep=[["t_max", [-1e-12]]]), "t_max"),
+        (dict(sweep=[["t_max", ["long"]]]), "t_max"),
+        (dict(experiment="prop1_sweep", sweep=[["t_max", [3e-10]]]), "n_tx only"),
+    ])
+    def test_bad_input_rejected_when_built(self, tmp_path, capsys, fields, message):
+        path = write_scenario(tmp_path, **fields)
+        with pytest.raises(ValueError, match=message):
+            dp.Scenario.from_file(path)
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestGainCdfRun:
     def test_files_schema_and_values(self, tmp_path):
@@ -84,9 +103,9 @@ class TestGainCdfRun:
         assert "gain_cdf_proposed_n_tx=32.csv" in names
 
     def test_indivisible_antenna_sweep_rejected(self, tmp_path):
-        sc = dp.Scenario.from_file(write_scenario(tmp_path, sweep=[["n_tx", [20]]]))
+        # rejected when the scenario is built, before any output is written
         with pytest.raises(ValueError, match="not divisible"):
-            dp.run(sc, out_dir=tmp_path / "out")
+            dp.Scenario.from_file(write_scenario(tmp_path, sweep=[["n_tx", [20]]]))
 
     def test_manifest_contents(self, tmp_path):
         sc = dp.Scenario.from_file(write_scenario(tmp_path))

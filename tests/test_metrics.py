@@ -162,10 +162,6 @@ class TestEmpiricalCdf:
         assert cdf[-1] == 1.0
         assert np.all(np.diff(cdf) >= 0)
 
-    def test_fraction_semantics(self):
-        xs, cdf = dp.empirical_cdf([1.0, 2.0, 3.0, 4.0], grid=[2.5])
-        assert cdf[list(xs).index(2.5)] == 0.5
-
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             dp.empirical_cdf([])

@@ -129,28 +129,6 @@ class TestSteering:
         with pytest.raises(ValueError):
             dp.ula_response(cfg, 1, 1.2)
 
-    def test_ura_reduces_to_ula(self, cfg):
-        az = 0.6
-        for k in (1, 65, 129):
-            ura = dp.ura_response(cfg, k, az, np.pi / 2, cfg.n_tx, 1)
-            ula = dp.ula_response(cfg, k, np.sin(az))
-            assert np.allclose(ura, ula, atol=1e-12)
-
-    def test_ura_broadside_uniform(self, cfg):
-        v = dp.ura_response(cfg, 65, 0.0, np.pi / 2, 16, 16)
-        assert np.allclose(v, np.full(256, 1 / 16.0), atol=1e-15)
-
-    def test_ura_unit_norm(self, cfg):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            az, el = rng.uniform(-np.pi / 2, np.pi / 2, 2)
-            v = dp.ura_response(cfg, 30, az, el, 16, 16)
-            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-
-    def test_ura_dimension_mismatch(self, cfg):
-        with pytest.raises(ValueError):
-            dp.ura_response(cfg, 1, 0.1, 1.0, 16, 15)
-
 
 def _single_path_config():
     return make_config(n_tx=8, n_rx=1, n_rf=1, n_streams=1, ttds_per_rf=4,

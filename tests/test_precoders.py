@@ -21,22 +21,22 @@ def zero_design(cfg):
 
 class TestPsMatrix:
     def test_zero_phases_uniform_entries(self, cfg):
-        f1 = dp.build_ps_matrix(zero_design(cfg), cfg)
+        f1 = dp.materialize(cfg, zero_design(cfg)).f1
         nz = f1[f1 != 0]
         assert np.allclose(nz, 1 / np.sqrt(cfg.n_tx), atol=1e-15)
 
     def test_nonzero_count(self, cfg):
-        f1 = dp.build_ps_matrix(random_design(cfg), cfg)
+        f1 = dp.materialize(cfg, random_design(cfg)).f1
         assert np.count_nonzero(f1) == cfg.n_tx * cfg.n_rf
 
     def test_column_norms(self, cfg):
         # each column holds ps_per_ttd unit-modulus entries scaled by 1/sqrt(n_tx)
-        f1 = dp.build_ps_matrix(random_design(cfg), cfg)
+        f1 = dp.materialize(cfg, random_design(cfg)).f1
         norms = np.linalg.norm(f1, axis=0)
         assert np.allclose(norms, np.sqrt(cfg.ps_per_ttd / cfg.n_tx), atol=1e-12)
 
     def test_block_placement(self, cfg):
-        f1 = dp.build_ps_matrix(random_design(cfg), cfg)
+        f1 = dp.materialize(cfg, random_design(cfg)).f1
         n_ps, m_ttd = cfg.ps_per_ttd, cfg.ttds_per_rf
         for l in (0, cfg.n_rf - 1):
             for m in (0, m_ttd - 1):
@@ -47,23 +47,23 @@ class TestPsMatrix:
     def test_shape_mismatch_raises(self, cfg):
         bad = dp.AnalogDesign(phases=np.zeros((2, 3, 4)), delays=np.zeros((2, 3)))
         with pytest.raises(ValueError):
-            dp.build_ps_matrix(bad, cfg)
+            dp.materialize(cfg, bad)
 
 
 class TestTtdMatrix:
     def test_zero_delays_all_ones_blocks(self, cfg):
-        f2 = dp.build_ttd_matrix(zero_design(cfg), cfg, 7)
+        f2 = dp.materialize(cfg, zero_design(cfg)).ttd[6]
         nz = f2[f2 != 0]
         assert np.allclose(nz, 1.0, atol=1e-15)
 
     def test_entry_moduli(self, cfg):
-        f2 = dp.build_ttd_matrix(random_design(cfg), cfg, 100)
+        f2 = dp.materialize(cfg, random_design(cfg)).ttd[99]
         mods = np.abs(f2)
         assert np.all((mods < 1e-15) | (np.abs(mods - 1) < 1e-12))
 
     def test_gram_is_scaled_identity(self, cfg):
         # each block stacks ttds_per_rf unit-modulus entries
-        f2 = dp.build_ttd_matrix(random_design(cfg), cfg, 42)
+        f2 = dp.materialize(cfg, random_design(cfg)).ttd[41]
         gram = f2.conj().T @ f2
         assert np.allclose(gram, cfg.ttds_per_rf * np.eye(cfg.n_rf), atol=1e-10)
 
@@ -73,17 +73,17 @@ class TestTtdMatrix:
             delays=np.full((cfg.n_rf, cfg.ttds_per_rf), 2 * cfg.t_max),
         )
         with pytest.raises(ValueError):
-            dp.build_ttd_matrix(bad, cfg, 1)
+            dp.materialize(cfg, bad)
 
 
 class TestComposite:
     def test_all_zero_design_uniform(self, cfg):
-        f = dp.composite_precoder(zero_design(cfg), cfg, 1)
+        f = dp.analog_stack(cfg, zero_design(cfg))[0]
         assert np.allclose(f, 1 / np.sqrt(cfg.n_tx), atol=1e-15)
 
     def test_constant_modulus(self, cfg):
         for seed in range(3):
-            f = dp.composite_precoder(random_design(cfg, seed), cfg, 13 + seed)
+            f = dp.analog_stack(cfg, random_design(cfg, seed))[12 + seed]
             assert np.max(np.abs(np.abs(f) * np.sqrt(cfg.n_tx) - 1)) < 1e-12
 
     def test_one_ttd_per_antenna_matches_steering(self):
@@ -95,17 +95,17 @@ class TestComposite:
         m = np.arange(16)
         delays = np.stack([m * p / (2 * cfg.f_c) for p in psi])
         design = dp.AnalogDesign(phases=np.zeros((2, 16, 1)), delays=delays)
+        stack = dp.analog_stack(cfg, design)
         for k in (1, 9, 65, 129):
-            f = dp.composite_precoder(design, cfg, k)
+            f = stack[k - 1]
             for l, p in enumerate(psi):
                 v = dp.ula_response(cfg, k, p)
                 assert np.allclose(f[:, l], v, atol=1e-12)
 
     def test_matches_factor_product(self, cfg):
         design = random_design(cfg, 5)
-        f1 = dp.build_ps_matrix(design, cfg)
-        f2 = dp.build_ttd_matrix(design, cfg, 29)
-        assert np.allclose(dp.composite_precoder(design, cfg, 29), f1 @ f2, atol=1e-14)
+        pset = dp.materialize(cfg, design)
+        assert np.allclose(pset.analog[28], pset.f1 @ pset.ttd[28], atol=1e-14)
 
 
 class TestIdealPrecoder:
@@ -139,9 +139,9 @@ class TestDigitalPrecoder:
     def test_power_normalization(self, cfg):
         rng = dp.make_rng(3)
         channel = dp.sample_channel(cfg, rng)
-        design = random_design(cfg, 6)
+        stack = dp.analog_stack(cfg, random_design(cfg, 6))
         for k in (1, 65, 129):
-            f = dp.composite_precoder(design, cfg, k)
+            f = stack[k - 1]
             w = dp.digital_precoder(channel.h[k - 1], f, cfg.n_streams)
             assert np.linalg.norm(f @ w) ** 2 == pytest.approx(cfg.n_streams, abs=1e-10)
 

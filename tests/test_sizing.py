@@ -93,15 +93,16 @@ class TestExactSizing:
         cfg = sizing_config()
         assert worst_subarray_gain(cfg, 60, 0.8) >= 0.9
         assert worst_subarray_gain(cfg, 48, 0.8) < 0.9
-        assert dp.min_ttds_exact(cfg, 0.9, [0.8]) == 60
+        assert dp.size_ttds(cfg, 0.9, 0.8).m_exact == 60
 
     def test_vacuous_threshold(self):
         cfg = sizing_config()
-        assert dp.min_ttds_exact(cfg, 1e-12, [0.8]) == 1
+        assert dp.size_ttds(cfg, 1e-12, 0.8).m_exact == 1
 
     def test_single_subcarrier_no_squint(self):
         cfg = sizing_config(n_subcarriers=1)
-        assert dp.min_ttds_exact(cfg, 0.999, [0.8]) == 1
+        result = dp.size_ttds(cfg, 0.999, 0.8)
+        assert result.m_exact == result.m_star == 1
 
     def test_closed_form_at_least_exact(self):
         rng = np.random.default_rng(10)
@@ -113,7 +114,7 @@ class TestExactSizing:
             g0 = rng.uniform(0.5, 0.99)
             psi_max = rng.uniform(0.1, 1.0)
             closed = dp.min_ttds(cfg, g0, psi_max)
-            exact = dp.min_ttds_exact(cfg, g0, [psi_max])
+            exact = dp.size_ttds(cfg, g0, psi_max).m_exact
             assert closed >= exact
 
     def test_sized_count_meets_threshold(self):
