@@ -57,7 +57,14 @@ class Scenario:
     out_dir: str = "results"
 
     def __post_init__(self):
-        """Reject bad input here, so that a run never fails halfway through."""
+        self.validate()
+
+    def validate(self) -> None:
+        """Reject bad input, so that a run never fails halfway through.
+
+        Runs when the scenario is built and again at the start of ``run``,
+        which also covers fields assigned after construction.
+        """
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}; pick one of {EXPERIMENTS}")
         for param, values in self.sweep:
@@ -105,21 +112,45 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_table(path: Path, header, rows, fmt: str) -> Path:
+def _numeric(column) -> bool:
+    """A float or integer array, whose cells need neither _fmt's dispatch nor CSV quoting."""
+    return isinstance(column, np.ndarray) and column.dtype.kind in "fiu"
+
+
+def _csv_cells(column) -> list:
+    """The CSV text of one column, cell for cell what _fmt writes."""
+    if not _numeric(column):
+        return [_fmt(v) for v in column]
+    if column.dtype.kind == "f":
+        return ["%.12g" % v for v in column.tolist()]
+    return list(map(str, column.tolist()))
+
+
+def _json_values(column) -> list:
+    """One column as JSON values: floats and ints become Python numbers."""
+    if _numeric(column):
+        return column.tolist()
+    return [float(v) if isinstance(v, (float, np.floating)) else
+            int(v) if isinstance(v, (int, np.integer)) else v for v in column]
+
+
+def _write_table(path: Path, header, columns, fmt: str) -> Path:
+    """Write a table given column by column, each as long as the table."""
     # append the extension; with_suffix would truncate stems like "t_max=3.2e-10"
     if fmt == "csv":
         path = path.parent / (path.name + ".csv")
+        cells = [_csv_cells(c) for c in columns]
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+            if all(map(_numeric, columns)):
+                fh.writelines([",".join(row) + "\n" for row in zip(*cells)])
+            else:  # text cells may need quoting
+                writer.writerows(zip(*cells))
     else:
         path = path.parent / (path.name + ".json")
         payload = {"header": list(header),
-                   "rows": [[(float(v) if isinstance(v, (float, np.floating)) else
-                              int(v) if isinstance(v, (int, np.integer)) else v)
-                             for v in row] for row in rows]}
+                   "rows": list(zip(*(_json_values(c) for c in columns)))}
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True)
             fh.write("\n")
@@ -161,34 +192,39 @@ def _stem(experiment: str, design: str | None, param: str | None, value) -> str:
     return name
 
 
-def _analog_columns(cfg: SystemConfig, analog_design) -> np.ndarray:
-    """First composite-precoder column per subcarrier, shape (K, n_tx)."""
-    return precoders.analog_stack(cfg, analog_design)[:, :, 0]
+def _design_columns(cfg: SystemConfig, psi: float) -> tuple:
+    """Proposed and benchmark columns toward psi, each (K, n_tx), laid out as in the full stack.
 
-
-def _ideal_columns(cfg: SystemConfig, psi: float) -> np.ndarray:
-    return precoders.ideal_stack(cfg, [psi])[:, :, 0]
+    Every chain of a gain table points at psi, so one chain is designed and
+    composed; its column equals column 0 of the full (K, n_tx, n_rf) stack bit
+    for bit. gain_profile's inner products round by the column's stride (see
+    precoders._compose), so with several chains both columns go into slots of
+    a (K, n_tx, n_rf) array, where they have the full stack's stride; with one
+    chain they are the unit-stride one-chain stacks themselves.
+    """
+    one = cfg.replace(n_rf=1, n_rx=1, n_streams=1)
+    stacks = (precoders.analog_stack(one, design_mod.design_joint(one, [psi]).design),
+              precoders.analog_stack(one, design_mod.design_benchmark(one, [psi])))
+    if cfg.n_rf == 1:
+        return tuple(stack[:, :, 0] for stack in stacks)
+    slots = np.empty((cfg.n_subcarriers, cfg.n_tx, cfg.n_rf), complex)
+    for slot, stack in enumerate(stacks):
+        slots[:, :, slot] = stack[:, :, 0]
+    return slots[:, :, 0], slots[:, :, 1]
 
 
 def _gain_tables(scenario: Scenario, files, out_dir, fmt):
+    psi = scenario.psi_eval
     for param, value, cfg in _sweep_points(scenario):
-        psi = scenario.psi_eval
-        psi_all = np.full(cfg.n_rf, psi)
-        columns = {
-            "proposed": _analog_columns(cfg, design_mod.design_joint(cfg, psi_all).design),
-            "benchmark": _analog_columns(cfg, design_mod.design_benchmark(cfg, psi_all)),
-            "ideal": _ideal_columns(cfg, psi),
-        }
+        ideal = precoders.ideal_stack(cfg, [psi])[:, :, 0]
+        profiles = metrics.gain_profile(cfg, (*_design_columns(cfg, psi), ideal), psi)
+        k = np.arange(1, cfg.n_subcarriers + 1)
         freqs = subcarrier_frequencies(cfg)
-        for name in DESIGN_NAMES:
-            profile = metrics.gain_profile(cfg, columns[name], psi)
-            rows = [(k, freqs[k - 1], profile.gains[k - 1])
-                    for k in range(1, cfg.n_subcarriers + 1)]
+        for name, profile in zip(DESIGN_NAMES, profiles):
             files.append(_write_table(out_dir / _stem("gain_profile", name, param, value),
-                                      ("k", "f_k", "value"), rows, fmt))
-            cdf_rows = list(zip(profile.cdf_x, profile.cdf_y))
+                                      ("k", "f_k", "value"), (k, freqs, profile.gains), fmt))
             files.append(_write_table(out_dir / _stem("gain_cdf", name, param, value),
-                                      ("x", "G"), cdf_rows, fmt))
+                                      ("x", "G"), (profile.cdf_x, profile.cdf_y), fmt))
 
 
 def _rate_trial(cfg: SystemConfig, seed: int, point_index: int, trial: int) -> dict:
@@ -223,12 +259,11 @@ def _rate_tables(scenario: Scenario, seed, files, out_dir, fmt, threads):
         for name in DESIGN_NAMES:
             pooled = np.concatenate([res[name] for res in results])
             profile = metrics.rate_profile(pooled)
-            cdf_rows = list(zip(profile.cdf_x, profile.cdf_y))
             files.append(_write_table(out_dir / _stem("rate_cdf", name, param, value),
-                                      ("x", "G"), cdf_rows, fmt))
+                                      ("x", "G"), (profile.cdf_x, profile.cdf_y), fmt))
             mean_rows.append((name, profile.mean_rate))
         files.append(_write_table(out_dir / _stem("rate_mean", None, param, value),
-                                  ("design", "mean_rate"), mean_rows, fmt))
+                                  ("design", "mean_rate"), list(zip(*mean_rows)), fmt))
 
 
 def _sizing_tables(scenario: Scenario, files, out_dir, fmt):
@@ -241,7 +276,7 @@ def _sizing_tables(scenario: Scenario, files, out_dir, fmt):
         files.append(path)
         rows = sorted((m, g) for m, g in result.worst_gain_by_divisor.items())
         files.append(_write_table(out_dir / _stem("sizing_trace", None, param, value),
-                                  ("m", "worst_gain"), rows, fmt))
+                                  ("m", "worst_gain"), list(zip(*rows)), fmt))
 
 
 def _prop1_tables(scenario: Scenario, files, out_dir, fmt):
@@ -253,7 +288,7 @@ def _prop1_tables(scenario: Scenario, files, out_dir, fmt):
         rows.append((int(value), edge, center))
     rows.sort(key=lambda r: r[0])
     files.append(_write_table(out_dir / "prop1_sweep",
-                              ("n_tx", "gain_edge", "gain_center"), rows, fmt))
+                              ("n_tx", "gain_edge", "gain_center"), list(zip(*rows)), fmt))
 
 
 def _criteria_tables(scenario: Scenario, files, out_dir, fmt):
@@ -268,7 +303,8 @@ def _criteria_tables(scenario: Scenario, files, out_dir, fmt):
                      "" if value is None else _fmt(value),
                      "inf" if nt == float("inf") else int(nt), tmax))
     files.append(_write_table(out_dir / "criteria_report",
-                              ("param", "value", "nt_bound", "tmax_bound_s"), rows, fmt))
+                              ("param", "value", "nt_bound", "tmax_bound_s"), list(zip(*rows)),
+                              fmt))
 
 
 def run(scenario: Scenario, seed: int | None = None, out_dir=None,
@@ -278,6 +314,7 @@ def run(scenario: Scenario, seed: int | None = None, out_dir=None,
         raise ValueError("format must be csv or json")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    scenario.validate()
     seed = scenario.config.seed if seed is None else int(seed)
     out = Path(out_dir if out_dir is not None else scenario.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -19,6 +19,7 @@ from .model import (SystemConfig, _readonly, freq_ratio, freq_ratios, steering_s
                     ula_response)
 
 NORM_TOL = 1e-9  # allowed deviation of a precoder column's 2-norm from 1
+SV_TOL = 1e-12  # singular values below SV_TOL times the largest count as zero
 
 
 def squint_offset(cfg: SystemConfig, k: int, psi: float) -> float:
@@ -75,7 +76,7 @@ def achievable_rate(h_k: np.ndarray, f_k: np.ndarray, w_k: np.ndarray,
 
 
 def rate_lower_bound(h_k: np.ndarray, f_k: np.ndarray, w_k: np.ndarray,
-                     rho: float, n_streams: int, sv_tol: float = 1e-12):
+                     rho: float, n_streams: int):
     """Determinant-based lower bound on the per-subcarrier rate.
 
     log2(1 + rho * det(S^2 V^H F W W^H F^H V)^(1/n_streams)) with H = U S V^H,
@@ -83,7 +84,7 @@ def rate_lower_bound(h_k: np.ndarray, f_k: np.ndarray, w_k: np.ndarray,
     n_rx = n_streams, as the model assumes). The singular factors come from the
     eigendecomposition of the small matrix H H^H; right singular vectors are
     recovered as H^H U / S. A channel with fewer than n_streams singular values
-    above sv_tol times the largest is rank-deficient, and its bound is zero.
+    above SV_TOL times the largest is rank-deficient, and its bound is zero.
     Never exceeds achievable_rate on the same inputs. Takes one subcarrier and
     returns a float, or stacks with matching leading axes, (..., n, m), and
     returns an array.
@@ -95,7 +96,7 @@ def rate_lower_bound(h_k: np.ndarray, f_k: np.ndarray, w_k: np.ndarray,
     eig, u = np.linalg.eigh(h_k @ h_herm)
     eig = np.clip(eig[..., ::-1], 0.0, None)
     u = u[..., ::-1]
-    kept = np.count_nonzero(eig > sv_tol * np.maximum(eig[..., :1], 1e-300), axis=-1)
+    kept = np.count_nonzero(eig > SV_TOL * np.maximum(eig[..., :1], 1e-300), axis=-1)
     full = kept >= n_streams
     eig = np.where(full[..., None], eig[..., :n_streams], 1.0)
     sv = np.sqrt(eig)
@@ -152,24 +153,34 @@ class RateProfile:
             object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), float)))
 
 
-def gain_profile(cfg: SystemConfig, columns: np.ndarray, psi: float) -> GainProfile:
+def gain_profile(cfg: SystemConfig, columns, psi: float):
     """Evaluate one precoder column per subcarrier (shape (K, n_tx)) at direction psi.
 
     Row k - 1 gives array_gain(columns[k - 1], cfg, k, psi), bit for bit: the
     steering vectors come from one stack, but each gain is still its own
     np.vdot, because a batched inner product rounds differently in the last bit.
+    The vdot also rounds by the column's stride (see precoders._compose), so
+    columns are read in place, never copied.
+
+    columns may also be a tuple of (K, n_tx) arrays: all of them are scored
+    against one steering stack, and a tuple of profiles comes back in order.
     """
-    columns = np.asarray(columns)
-    if columns.shape != (cfg.n_subcarriers, cfg.n_tx):
-        raise ValueError("columns must have shape (K, n_tx)")
-    if np.any(np.abs(np.linalg.norm(columns, axis=1) - 1.0) > NORM_TOL):
-        raise ValueError("precoder column must have unit 2-norm")
+    single = not isinstance(columns, tuple)
+    arrays = [np.asarray(a) for a in ((columns,) if single else columns)]
+    for a in arrays:
+        if a.shape != (cfg.n_subcarriers, cfg.n_tx):
+            raise ValueError("columns must have shape (K, n_tx)")
+        if np.any(np.abs(np.linalg.norm(a, axis=1) - 1.0) > NORM_TOL):
+            raise ValueError("precoder column must have unit 2-norm")
     steering = steering_stack(cfg.n_tx, freq_ratios(cfg), psi)[:, :, 0]
-    gains = np.array([abs(np.vdot(v, f)) for v, f in zip(steering, columns)])
-    if np.any(gains > 1.0 + 1e-12) or np.any(gains < 0.0):
-        raise ValueError("array gain outside [0, 1]")
-    xs, cdf = empirical_cdf(gains)
-    return GainProfile(psi=float(psi), gains=gains, cdf_x=xs, cdf_y=cdf)
+    profiles = []
+    for a in arrays:
+        gains = np.array([abs(np.vdot(v, f)) for v, f in zip(steering, a)])
+        if np.any(gains > 1.0 + 1e-12) or np.any(gains < 0.0):
+            raise ValueError("array gain outside [0, 1]")
+        xs, cdf = empirical_cdf(gains)
+        profiles.append(GainProfile(psi=float(psi), gains=gains, cdf_x=xs, cdf_y=cdf))
+    return profiles[0] if single else tuple(profiles)
 
 
 def rate_profile(rates) -> RateProfile:

@@ -100,8 +100,13 @@ def _compose(ps: np.ndarray, ttd: np.ndarray) -> np.ndarray:
 
     Each entry is the single product ps[l, m, n] * ttd[k, l, m], bit-identical
     to the dense sum of products einsum("ij,jl->il", F1, F2_k). The result is
-    C-ordered: ``metrics.array_gain``'s inner products depend on the column
-    layout in the last bit.
+    C-ordered, so the column of chain l at subcarrier k has a stride of n_rf
+    elements: unit stride with one RF chain, non-unit with more. That stride
+    reaches the last bit of ``metrics.gain_profile`` and ``array_gain``: each
+    gain is one ``np.vdot``, and OpenBLAS's zdotc takes its SIMD kernel only
+    when both operands have unit stride, and a scalar loop otherwise. The same
+    column gives different last bits contiguous and strided (104 of the 129
+    headline gains at psi = 0.8), but the same bits at any non-unit stride.
     """
     n_rf, m_ttd, n_ps = ps.shape
     out = np.einsum("lmn,klm->kmnl", ps, ttd, order="C")

@@ -1,12 +1,19 @@
 """Property tests: every batched kernel against the per-subcarrier reference it replaces.
 
 The analog and ideal stacks must equal their per-subcarrier builders, and
-gain_profile a loop of array_gain over the subcarriers, bit for bit. The
+gain_profile a loop of array_gain over the subcarriers, bit for bit; so must
+the gain tables' one-chain columns equal the full stack's first column, the
+tuple form of gain_profile one call per array, and the column-wise table
+writer the row-wise csv.writer and json output it replaced. The
 batched rate path must agree to 1e-12 relative with a loop over k of the
 eigenvalue formulas it replaced, which run on the cyclic-Jacobi solver.
 The numerical comparisons draw a fixed sequence of examples (derandomize), so
 the suite's verdict does not change from run to run.
 """
+
+import csv
+import json
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -120,6 +127,90 @@ def test_gain_profile_matches_array_gain_loop(cfg, psi, seed):
         columns = stack[:, :, 0]
         want = np.array([dp.array_gain(columns[k - 1], cfg, k, psi) for k in subcarriers(cfg)])
         assert_same_bits(dp.gain_profile(cfg, columns, psi).gains, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=systems(), psi=st.floats(-1, 1))
+def test_one_chain_columns_match_full_stack(cfg, psi):
+    directions = [psi] * cfg.n_rf
+    full = (dp.analog_stack(cfg, dp.design_joint(cfg, directions).design)[:, :, 0],
+            dp.analog_stack(cfg, dp.design_benchmark(cfg, directions))[:, :, 0])
+    for got, want in zip(harness._design_columns(cfg, psi), full):
+        assert_same_bits(got, want)
+        # gain_profile's vdot rounds by the stride, so the layout must match too
+        assert got.strides == want.strides
+        assert_same_bits(dp.gain_profile(cfg, got, psi).gains,
+                         dp.gain_profile(cfg, want, psi).gains)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=systems(), psi=st.floats(-1, 1), seed=seeds)
+def test_gain_profile_tuple_matches_one_call_per_array(cfg, psi, seed):
+    arrays = (*harness._design_columns(cfg, psi),
+              dp.analog_stack(cfg, random_design(cfg, seed))[:, :, 0],
+              dp.ideal_stack(cfg, [psi])[:, :, 0])
+    profiles = dp.gain_profile(cfg, arrays, psi)
+    assert isinstance(profiles, tuple) and len(profiles) == len(arrays)
+    for got, columns in zip(profiles, arrays):
+        want = dp.gain_profile(cfg, columns, psi)
+        assert got.psi == want.psi
+        for name in ("gains", "cdf_x", "cdf_y"):
+            assert_same_bits(getattr(got, name), getattr(want, name))
+
+
+# the row-wise writer that _write_table replaced
+def reference_table(path, header, rows, fmt):
+    if fmt == "csv":
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([harness._fmt(v) for v in row])
+    else:
+        payload = {"header": list(header),
+                   "rows": [[(float(v) if isinstance(v, (float, np.floating)) else
+                              int(v) if isinstance(v, (int, np.integer)) else v)
+                             for v in row] for row in rows]}
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+
+
+ints = st.integers(-2**63, 2**63 - 1)
+floats = st.floats() | st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 1e-300, 0.1 + 0.2])
+cells = st.one_of(ints, ints.map(np.int64), floats, floats.map(np.float64),
+                  st.text(), st.just(""))
+
+
+@st.composite
+def tables(draw):
+    """Columns of one length: float arrays, int arrays, or lists of mixed cells."""
+    n_rows = draw(st.integers(0, 6))
+
+    def column(values):
+        return draw(st.lists(values, min_size=n_rows, max_size=n_rows))
+
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("float", "int", "mixed")))
+        if kind == "float":
+            columns.append(np.array(column(floats), float))
+        elif kind == "int":
+            columns.append(np.array(column(ints), np.int64))
+        else:
+            columns.append(column(cells))
+    return columns
+
+
+@settings(max_examples=100, deadline=None)
+@given(columns=tables(), fmt=st.sampled_from(("csv", "json")))
+def test_write_table_matches_row_writer(tmp_path_factory, columns, fmt):
+    tmp = tmp_path_factory.mktemp("table")
+    header = [f"c{i}" for i in range(len(columns))]
+    got = harness._write_table(tmp / "got", header, columns, fmt)
+    want = tmp / f"want.{fmt}"
+    reference_table(want, header, list(zip(*columns)), fmt)
+    assert got.read_bytes() == want.read_bytes()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 import delayphase as dp
 from conftest import HEADLINE
 from delayphase.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def small_config_dict(**kw):
@@ -66,6 +69,21 @@ class TestScenario:
         assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("psi_eval", 1.5, "psi_eval must be a number"),
+        ("g0", 0.0, "g0 must lie strictly"),
+        ("sweep", [("t_max", [-1e-12])], "t_max must be non-negative"),
+    ])
+    def test_field_assigned_after_build_rejected_before_writing(self, tmp_path, name, value,
+                                                               message):
+        # Scenario is mutable, so run checks it again, before it writes anything
+        sc = dp.Scenario.from_file(ROOT / "scenarios" / "gain_cdf.json")
+        setattr(sc, name, value)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=message):
+            dp.run(sc, out_dir=out)
+        assert not out.exists()
 
 
 class TestGainCdfRun:

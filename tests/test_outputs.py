@@ -1,6 +1,7 @@
 """Output-equivalence guard.
 
-The design-side scenario tables must stay byte-identical, and the pooled mean
+The design-side scenario tables must stay byte-identical (the gain tables also
+as JSON, which keeps every digit), and the pooled mean
 rates of a small rate_cdf run must stay within 1e-12 relative, to the values
 recorded in tests/data/expected_outputs.json. Rewrite that file only for a
 change that is meant to move the outputs:
@@ -23,6 +24,7 @@ ROOT = Path(__file__).resolve().parents[1]
 EXPECTED = Path(__file__).resolve().parent / "data" / "expected_outputs.json"
 DESIGN_SCENARIOS = ("gain_cdf", "gain_cdf_antennas", "sizing", "prop1_sweep",
                     "criteria_report")
+JSON_SCENARIOS = ("gain_cdf",)  # also written with fmt="json"
 # the small rate_cdf configuration of acceptance criterion 8
 RATE_SCENARIO = dict(
     experiment="rate_cdf",
@@ -34,10 +36,10 @@ RATE_SEED = 11
 RATE_RTOL = 1e-12
 
 
-def scenario_digests(name: str, out_dir: Path) -> dict:
+def scenario_digests(name: str, out_dir: Path, fmt: str = "csv") -> dict:
     """sha256 of every table the scenario file writes (the manifest excluded)."""
     scenario = dp.Scenario.from_file(ROOT / "scenarios" / f"{name}.json")
-    result = dp.run(scenario, out_dir=out_dir)
+    result = dp.run(scenario, out_dir=out_dir, fmt=fmt)
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in result.files}
 
 
@@ -58,6 +60,11 @@ def test_design_outputs_unchanged(name, tmp_path):
     assert scenario_digests(name, tmp_path) == expected()["digests"][name]
 
 
+@pytest.mark.parametrize("name", JSON_SCENARIOS)
+def test_design_json_outputs_unchanged(name, tmp_path):
+    assert scenario_digests(name, tmp_path, fmt="json") == expected()["json_digests"][name]
+
+
 def test_rate_means_unchanged(tmp_path):
     want = expected()["rate_mean"]
     got = rate_means(tmp_path)
@@ -71,6 +78,8 @@ if __name__ == "__main__":
         tmp = Path(tmp)
         record = {"digests": {name: scenario_digests(name, tmp / name)
                               for name in DESIGN_SCENARIOS},
+                  "json_digests": {name: scenario_digests(name, tmp / f"{name}_json", "json")
+                                   for name in JSON_SCENARIOS},
                   "rate_mean": rate_means(tmp / "rate")}
     EXPECTED.parent.mkdir(exist_ok=True)
     EXPECTED.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
