@@ -143,10 +143,7 @@ def _write_table(path: Path, header, columns, fmt: str) -> Path:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
-            if all(map(_numeric, columns)):
-                fh.writelines([",".join(row) + "\n" for row in zip(*cells)])
-            else:  # text cells may need quoting
-                writer.writerows(zip(*cells))
+            writer.writerows(zip(*cells))
     else:
         path = path.parent / (path.name + ".json")
         payload = {"header": list(header),
@@ -197,19 +194,18 @@ def _design_columns(cfg: SystemConfig, psi: float) -> tuple:
 
     Every chain of a gain table points at psi, so one chain is designed and
     composed; its column equals column 0 of the full (K, n_tx, n_rf) stack bit
-    for bit. gain_profile's inner products round by the column's stride (see
-    precoders._compose), so with several chains both columns go into slots of
-    a (K, n_tx, n_rf) array, where they have the full stack's stride; with one
-    chain they are the unit-stride one-chain stacks themselves.
+    for bit. gain_profile's inner products round differently at unit and at
+    non-unit stride (see precoders._compose), so with several chains the two
+    columns are interleaved into one (K, n_tx, 2) array, which gives them a
+    non-unit stride like the full stack's; with one chain they are the
+    unit-stride one-chain stacks themselves.
     """
     one = cfg.replace(n_rf=1, n_rx=1, n_streams=1)
-    stacks = (precoders.analog_stack(one, design_mod.design_joint(one, [psi]).design),
-              precoders.analog_stack(one, design_mod.design_benchmark(one, [psi])))
+    columns = (precoders.analog_stack(one, design_mod.design_joint(one, [psi]).design)[:, :, 0],
+               precoders.analog_stack(one, design_mod.design_benchmark(one, [psi]))[:, :, 0])
     if cfg.n_rf == 1:
-        return tuple(stack[:, :, 0] for stack in stacks)
-    slots = np.empty((cfg.n_subcarriers, cfg.n_tx, cfg.n_rf), complex)
-    for slot, stack in enumerate(stacks):
-        slots[:, :, slot] = stack[:, :, 0]
+        return columns
+    slots = np.stack(columns, axis=-1)
     return slots[:, :, 0], slots[:, :, 1]
 
 

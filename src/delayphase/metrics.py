@@ -162,11 +162,13 @@ def gain_profile(cfg: SystemConfig, columns, psi: float):
     The vdot also rounds by the column's stride (see precoders._compose), so
     columns are read in place, never copied.
 
-    columns may also be a tuple of (K, n_tx) arrays: all of them are scored
-    against one steering stack, and a tuple of profiles comes back in order.
+    columns may also be a sequence (tuple, list) of (K, n_tx) arrays: all of
+    them are scored against one steering stack, and a tuple of profiles comes
+    back in order. The form is told by the first item: a (K, n_tx) array's
+    first item is one row, a sequence's first item is a whole array.
     """
-    single = not isinstance(columns, tuple)
-    arrays = [np.asarray(a) for a in ((columns,) if single else columns)]
+    several = len(columns) > 0 and np.ndim(columns[0]) == 2
+    arrays = [np.asarray(a) for a in (columns if several else (columns,))]
     for a in arrays:
         if a.shape != (cfg.n_subcarriers, cfg.n_tx):
             raise ValueError("columns must have shape (K, n_tx)")
@@ -180,7 +182,7 @@ def gain_profile(cfg: SystemConfig, columns, psi: float):
             raise ValueError("array gain outside [0, 1]")
         xs, cdf = empirical_cdf(gains)
         profiles.append(GainProfile(psi=float(psi), gains=gains, cdf_x=xs, cdf_y=cdf))
-    return profiles[0] if single else tuple(profiles)
+    return tuple(profiles) if several else profiles[0]
 
 
 def rate_profile(rates) -> RateProfile:
