@@ -5,8 +5,8 @@ from .design import (DesignReport, design_benchmark, design_joint,
                      nt_upper_bound, tmax_lower_bound)
 from .harness import Scenario, run
 from .metrics import (GainProfile, RateProfile, achievable_rate, array_gain,
-                      dirichlet_gain, empirical_cdf, gain_profile, rate_lower_bound,
-                      rate_profile, squint_offset)
+                      dirichlet_gain, eigenbeam_rate, empirical_cdf, gain_profile,
+                      rate_lower_bound, rate_profile, squint_offset)
 from .model import (ChannelRealization, PathSet, SystemConfig, channel_matrices,
                     freq_ratio, freq_ratios, make_rng, sample_channel, sample_paths,
                     subcarrier_frequencies, subcarrier_frequency, ula_response,

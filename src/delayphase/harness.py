@@ -28,7 +28,7 @@ import numpy as np
 
 from . import design as design_mod
 from . import metrics, precoders, sizing
-from .model import (SystemConfig, make_rng, sample_channel,
+from .model import (SystemConfig, freq_ratios, make_rng, sample_channel, steering_gram,
                     subcarrier_frequencies, ula_response)
 
 try:  # version string for the manifest
@@ -226,23 +226,27 @@ def _gain_tables(scenario: Scenario, files, out_dir, fmt):
 def _rate_trial(cfg: SystemConfig, seed: int, point_index: int, trial: int) -> dict:
     """Per-subcarrier rates of each design on one sampled channel.
 
-    Each design's analog stack is evaluated in one batched call along the
-    subcarrier axis and released before the next one is built.
+    Each rate is the eigenbeam precoder's, from H_k F_k alone. Every analog
+    precoder has n_rf columns of unit norm (constant entry modulus 1/sqrt(n_tx)),
+    and so has the ideal one, so ||F_k||_F^2 = n_rf throughout. The ideal
+    precoder is the transmit steering table V_k of the channel H_k = A_k V_k^H,
+    so H_k V_k = A_k (V_k^H V_k) comes from the closed-form steering Gram matrix
+    and no ideal stack is built. Each analog stack is released before the next
+    one is built.
     """
     rng = make_rng(seed, stream=(point_index, trial))
     channel = sample_channel(cfg, rng)
     psi_t = channel.paths.psi_tx
 
-    def rates(analog):
-        w = precoders.digital_precoder(channel.h, analog, cfg.n_streams)
-        return metrics.achievable_rate(channel.h, analog, w, cfg.rho, cfg.n_streams)
+    def rates(hf):
+        return metrics.eigenbeam_rate(hf, cfg.n_rf, cfg.rho)
 
     return {
-        "proposed": rates(precoders.analog_stack(
+        "proposed": rates(channel.h @ precoders.analog_stack(
             cfg, design_mod.design_joint(cfg, psi_t).design)),
-        "benchmark": rates(precoders.analog_stack(
+        "benchmark": rates(channel.h @ precoders.analog_stack(
             cfg, design_mod.design_benchmark(cfg, psi_t))),
-        "ideal": rates(precoders.ideal_stack(cfg, psi_t)),
+        "ideal": rates(channel.a @ steering_gram(cfg.n_tx, freq_ratios(cfg), psi_t)),
     }
 
 

@@ -4,6 +4,11 @@ Array gain is always computed as a direct inner product with the subcarrier's
 steering vector, so it applies to arbitrary unit-norm precoder columns; the
 closed-form Dirichlet-kernel ratio is provided separately and agrees with the
 inner product on unclamped joint designs.
+
+``achievable_rate`` and ``rate_lower_bound`` take any digital precoder W.
+``eigenbeam_rate`` gives the rate of the eigenbeam precoder that
+``precoders.digital_precoder`` builds, from H F alone: with
+n_streams = n_rf = n_rx that rate needs no eigenvectors.
 """
 
 from __future__ import annotations
@@ -19,7 +24,9 @@ from .model import (SystemConfig, _readonly, freq_ratio, freq_ratios, steering_s
                     ula_response)
 
 NORM_TOL = 1e-9  # allowed deviation of a precoder column's 2-norm from 1
-SV_TOL = 1e-12  # singular values below SV_TOL times the largest count as zero
+# eigenvalues of H H^H (squared singular values) at or below SV_TOL times the
+# largest count as zero, so a singular-value ratio at or below 1e-6 is rank loss
+SV_TOL = 1e-12
 
 
 def squint_offset(cfg: SystemConfig, k: int, psi: float) -> float:
@@ -75,6 +82,26 @@ def achievable_rate(h_k: np.ndarray, f_k: np.ndarray, w_k: np.ndarray,
     return _float_or_array(np.sum(np.log2(1.0 + (rho / n_streams) * eig), axis=-1))
 
 
+def eigenbeam_rate(hf: np.ndarray, f_power, rho: float):
+    """Rate of the eigenbeam digital precoder, log2 det(I + rho/||F||_F^2 (HF)(HF)^H).
+
+    hf is H_k F_k, shape (n_rx, n_rf) or a stack (..., n_rx, n_rf), and
+    f_power is ||F_k||_F^2, a number or an array over the leading axes. With
+    n_streams = n_rf the eigenbeam precoder W of digital_precoder is unitary
+    times the one scale that makes ||F W||_F^2 = n_streams, so this equals
+    achievable_rate(h, f, digital_precoder(h, f, n_streams), rho, n_streams)
+    without an eigensolve: one batched slogdet. Returns a float for one
+    subcarrier, an array for a stack.
+    """
+    hf = np.asarray(hf)
+    f_power = np.asarray(f_power, float)
+    if np.any(f_power <= 0):
+        raise ValueError("analog precoder must have positive power")
+    scale = (rho / f_power)[..., None, None]
+    _, logdet = np.linalg.slogdet(np.eye(hf.shape[-2]) + scale * (hf @ _hermitian(hf)))
+    return _float_or_array(logdet / np.log(2.0))
+
+
 def rate_lower_bound(h_k: np.ndarray, f_k: np.ndarray, w_k: np.ndarray,
                      rho: float, n_streams: int):
     """Determinant-based lower bound on the per-subcarrier rate.
@@ -83,8 +110,10 @@ def rate_lower_bound(h_k: np.ndarray, f_k: np.ndarray, w_k: np.ndarray,
     over the n_streams strongest receive modes (all of them when
     n_rx = n_streams, as the model assumes). The singular factors come from the
     eigendecomposition of the small matrix H H^H; right singular vectors are
-    recovered as H^H U / S. A channel with fewer than n_streams singular values
-    above SV_TOL times the largest is rank-deficient, and its bound is zero.
+    recovered as H^H U / S. A channel with fewer than n_streams eigenvalues of
+    H H^H above SV_TOL times the largest, that is fewer than n_streams singular
+    values above sqrt(SV_TOL) = 1e-6 times the largest, is rank-deficient, and
+    its bound is zero.
     Never exceeds achievable_rate on the same inputs. Takes one subcarrier and
     returns a float, or stacks with matching leading axes, (..., n, m), and
     returns an array.

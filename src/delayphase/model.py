@@ -4,6 +4,12 @@ All quantities are in SI units (Hz, seconds); subcarrier indices are 1-based.
 Spatial directions ``psi`` are dimensionless (sine of the azimuth angle of
 departure/arrival) and are the primary representation throughout; angles in
 radians are kept alongside them for provenance only.
+
+Steering vectors come from one kernel, ``steering_stack``; their Gram matrices
+have a closed form, ``steering_gram``. A sampled channel keeps H_k and its
+small receive factor A_k (the paths' gains, delay phases and receive
+responses), with H_k = A_k V_k^H; the transmit steering table V_k is used once
+to form H and then released.
 """
 
 from __future__ import annotations
@@ -163,6 +169,14 @@ def freq_ratios(cfg: SystemConfig) -> np.ndarray:
     return 1.0 + (cfg.bandwidth / cfg.f_c) * ((k - 1 - (K - 1) / 2) / K)
 
 
+def _directions(psi) -> np.ndarray:
+    """Spatial directions as a 1-D float array, each checked to satisfy |psi| <= 1."""
+    psi = np.atleast_1d(np.asarray(psi, float))
+    if (np.abs(psi) > 1).any():
+        raise ValueError("spatial direction must satisfy |psi| <= 1")
+    return psi
+
+
 def steering_stack(n_elements: int, ratios, psi) -> np.ndarray:
     """Unit-norm ULA responses for every frequency ratio and direction.
 
@@ -172,12 +186,31 @@ def steering_stack(n_elements: int, ratios, psi) -> np.ndarray:
     (|psi| <= 1) of a half-wavelength array.
     """
     ratios = np.atleast_1d(np.asarray(ratios, float))
-    psi = np.atleast_1d(np.asarray(psi, float))
-    if (np.abs(psi) > 1).any():
-        raise ValueError("spatial direction must satisfy |psi| <= 1")
+    psi = _directions(psi)
     i = np.arange(n_elements)
     phase = (-1j * np.pi * i)[None, :, None] * ratios[:, None, None] * psi
     return np.exp(phase) / np.sqrt(n_elements)
+
+
+def steering_gram(n_elements: int, ratios, psi) -> np.ndarray:
+    """Gram matrices S^H S of steering_stack(n_elements, ratios, psi) in closed form.
+
+    Shape (len(ratios), len(psi), len(psi)). Entry (l, m) at ratio r is the
+    complex Dirichlet kernel e^{j(n-1)x} sin(nx) / (n sin x) with
+    x = (pi/2) r (psi_l - psi_m), and 1 where sin x == 0. The kernel has period
+    pi in x, so x is first reduced to [-pi/2, pi/2]; near the grating lobe
+    x = +-pi, sin(nx) / sin(x) would otherwise divide two rounding errors
+    (an error of order 1 for n = 45 at |x - pi| ~ 1e-16).
+    """
+    ratios = np.atleast_1d(np.asarray(ratios, float))
+    psi = _directions(psi)
+    x = (0.5 * np.pi) * ratios[:, None, None] * (psi[:, None] - psi[None, :])
+    x -= np.pi * np.rint(x / np.pi)
+    s = np.sin(x)
+    zero = s == 0
+    kernel = np.sin(n_elements * x) / (n_elements * np.where(zero, 1.0, s))
+    kernel[zero] = 1.0
+    return np.exp((1j * (n_elements - 1)) * x) * kernel
 
 
 def ula_steering(n_elements: int, ratio: float, psi: float) -> np.ndarray:
@@ -241,13 +274,8 @@ def sample_paths(cfg: SystemConfig, rng: np.random.Generator) -> PathSet:
     return PathSet(gains=gains, delays=delays, aod=aod, aoa=aoa)
 
 
-def channel_matrices(cfg: SystemConfig, paths: PathSet) -> np.ndarray:
-    """Per-subcarrier channel matrices, shape (K, n_rx, n_tx).
-
-    H_k = sqrt(n_rx*n_tx/L) * sum_l gain_l * exp(-j*2*pi*delay_l*f_k) * u_{k,l} v_{k,l}^H
-
-    Deterministic in (cfg, paths): the same inputs reconstruct H bit-exactly.
-    """
+def _channel_factors(cfg: SystemConfig, paths: PathSet) -> tuple:
+    """Receive factor A, shape (K, n_rx, L), and channel H = A_k V_k^H, shape (K, n_rx, n_tx)."""
     if paths.n_paths != cfg.n_rf:
         raise ValueError("number of paths must equal n_rf")
     L = paths.n_paths
@@ -264,22 +292,42 @@ def channel_matrices(cfg: SystemConfig, paths: PathSet) -> np.ndarray:
     u /= np.sqrt(cfg.n_rx)
     coef = paths.gains[None, :] * np.exp(-2j * np.pi * paths.delays[None, :] * freqs[:, None])
     coef = coef * np.sqrt(cfg.n_rx * cfg.n_tx / L)
-    return np.einsum("kl,klr,klt->krt", coef, u, v.conj())
+    a = (coef[:, :, None] * u).transpose(0, 2, 1)
+    # A_k V_k^H as conj(conj(A_k) V_k^T), so the (K, L, n_tx) table v is never conjugated
+    h = np.conj(a) @ v
+    return a, np.conjugate(h, out=h)
+
+
+def channel_matrices(cfg: SystemConfig, paths: PathSet) -> np.ndarray:
+    """Per-subcarrier channel matrices, shape (K, n_rx, n_tx).
+
+    H_k = sqrt(n_rx*n_tx/L) * sum_l gain_l * exp(-j*2*pi*delay_l*f_k) * u_{k,l} v_{k,l}^H,
+    formed as H_k = A_k V_k^H: the receive factor A_k has columns
+    sqrt(n_rx*n_tx/L) * gain_l * exp(-j*2*pi*delay_l*f_k) * u_{k,l}, shape (n_rx, L),
+    and V_k has the transmit responses v_{k,l} as columns, shape (n_tx, L).
+
+    Deterministic in (cfg, paths): the same inputs reconstruct H bit-exactly.
+    """
+    return _channel_factors(cfg, paths)[1]
 
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One sampled channel: path parameters plus materialized per-subcarrier matrices."""
+    """One sampled channel: path parameters, materialized per-subcarrier matrices,
+    and their receive factor (H_k = A_k V_k^H, see channel_matrices)."""
 
     cfg: SystemConfig
     paths: PathSet
     h: np.ndarray  # (K, n_rx, n_tx)
+    a: np.ndarray  # (K, n_rx, L)
 
     def __post_init__(self):
         object.__setattr__(self, "h", _readonly(np.asarray(self.h, complex)))
+        object.__setattr__(self, "a", _readonly(np.asarray(self.a, complex)))
 
 
 def sample_channel(cfg: SystemConfig, rng: np.random.Generator) -> ChannelRealization:
-    """Sample paths and materialize the channel matrices for all subcarriers."""
+    """Sample paths and materialize the channel matrices and their receive factor."""
     paths = sample_paths(cfg, rng)
-    return ChannelRealization(cfg=cfg, paths=paths, h=channel_matrices(cfg, paths))
+    a, h = _channel_factors(cfg, paths)
+    return ChannelRealization(cfg=cfg, paths=paths, h=h, a=a)

@@ -6,7 +6,10 @@ the gain tables' one-chain columns equal the full stack's first column, the
 tuple form of gain_profile one call per array, and the column-wise table
 writer the row-wise csv.writer and json output it replaced. The
 batched rate path must agree to 1e-12 relative with a loop over k of the
-eigenvalue formulas it replaced, which run on the cyclic-Jacobi solver.
+eigenvalue formulas it replaced, which run on the cyclic-Jacobi solver, and
+so must eigenbeam_rate with the rate of digital_precoder's W. The closed-form
+steering Gram matrix must match S^H S of the steering stack to 1e-13, and the
+factored channel the three-operand einsum it replaced to 1e-14 of max |H|.
 The numerical comparisons draw a fixed sequence of examples (derandomize), so
 the suite's verdict does not change from run to run.
 """
@@ -24,6 +27,7 @@ import delayphase as dp
 from conftest import systems
 from delayphase import harness
 from delayphase.linalg import fix_phase, jacobi_eigh
+from delayphase.model import steering_gram, steering_stack
 
 RTOL = 1e-12
 
@@ -250,6 +254,81 @@ def test_rate_path_matches_per_subcarrier_reference(cfg, seed):
             # a single subcarrier still returns a float
             assert isinstance(dp.achievable_rate(h, f, w[k - 1], cfg.rho, n_s), float)
             assert isinstance(dp.rate_lower_bound(h, f, w[k - 1], cfg.rho, n_s), float)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cfg=systems(), seed=seeds)
+def test_eigenbeam_rate_matches_digital_precoder_rate(cfg, seed):
+    channel = dp.sample_channel(cfg, dp.make_rng(seed))
+    psi = channel.paths.psi_tx
+    for analog in (dp.analog_stack(cfg, dp.design_joint(cfg, psi).design),
+                   *stacks(cfg, channel, seed).values()):
+        w = dp.digital_precoder(channel.h, analog, cfg.n_streams)
+        want = dp.achievable_rate(channel.h, analog, w, cfg.rho, cfg.n_streams)
+        power = np.sum(np.abs(analog) ** 2, axis=(1, 2))
+        got = dp.eigenbeam_rate(channel.h @ analog, power, cfg.rho)
+        assert_rel(got, want)
+        assert isinstance(dp.eigenbeam_rate(channel.h[0] @ analog[0], power[0], cfg.rho), float)
+
+
+@st.composite
+def grating_directions(draw, cfg):
+    """Directions with coincident pairs and a pair r_k (psi_a - psi_b) near 2 at some k.
+
+    Such a pair sits on a grating lobe of subcarrier k: x = +-pi, where
+    sin(x) is a rounding error but x is not 0. It exists only where r_k >= 1.
+    """
+    ratios = dp.freq_ratios(cfg)
+    r = ratios[draw(st.integers(cfg.center_subcarrier, cfg.n_subcarriers)) - 1]
+    psi_a = min((2 / r - 1) + draw(st.floats(0, 1)) * (2 - 2 / r), 1.0)
+    offset = draw(st.sampled_from([0.0, 1e-15, -1e-12, 1e-9, -1e-6, 1e-3]))
+    psi_b = float(np.clip(psi_a - 2 / r + offset, -1, 1))
+    others = draw(st.lists(st.floats(-1, 1), max_size=3))
+    return [psi_a, psi_b, psi_a, 1.0, -1.0, *others]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), cfg=systems())
+def test_steering_gram_matches_stack_gram(data, cfg):
+    psi = data.draw(grating_directions(cfg))
+    ratios = dp.freq_ratios(cfg)
+    s = steering_stack(cfg.n_tx, ratios, psi)
+    want = s.conj().swapaxes(1, 2) @ s
+    got = steering_gram(cfg.n_tx, ratios, psi)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
+# the three-operand einsum channel_matrices evaluated before the factored form
+def reference_channel(cfg, paths):
+    L = paths.n_paths
+    freqs = dp.subcarrier_frequencies(cfg)
+    ratios = dp.freq_ratios(cfg)
+    it = np.arange(cfg.n_tx)
+    ir = np.arange(cfg.n_rx)
+    v = np.exp(-1j * np.pi * ratios[:, None, None] * paths.psi_tx[None, :, None]
+               * it[None, None, :])
+    v /= np.sqrt(cfg.n_tx)
+    u = np.exp(-1j * np.pi * ratios[:, None, None] * paths.psi_rx[None, :, None]
+               * ir[None, None, :])
+    u /= np.sqrt(cfg.n_rx)
+    coef = paths.gains[None, :] * np.exp(-2j * np.pi * paths.delays[None, :] * freqs[:, None])
+    coef = coef * np.sqrt(cfg.n_rx * cfg.n_tx / L)
+    return np.einsum("kl,klr,klt->krt", coef, u, v.conj())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cfg=systems(), seed=seeds)
+def test_channel_matrices_match_einsum_reference(cfg, seed):
+    channel = dp.sample_channel(cfg, dp.make_rng(seed))
+    want = reference_channel(cfg, channel.paths)
+    assert np.max(np.abs(channel.h - want)) <= 1e-14 * np.max(np.abs(want))
+    assert_same_bits(dp.channel_matrices(cfg, channel.paths), channel.h)
+    # the receive factor: H_k = A_k V_k^H with V_k the steering table toward psi_tx
+    assert channel.a.shape == (cfg.n_subcarriers, cfg.n_rx, cfg.n_rf)
+    v = dp.ideal_stack(cfg, channel.paths.psi_tx)
+    assert np.max(np.abs(channel.a @ v.conj().swapaxes(1, 2) - want)) \
+        <= 1e-13 * np.max(np.abs(want))
 
 
 def reference_trial(cfg, seed, point_index, trial):

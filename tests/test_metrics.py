@@ -151,6 +151,20 @@ class TestRateLowerBound:
         assert np.array_equal(dp.rate_lower_bound(stack, f, w, cfg.rho, 2), np.zeros(3))
 
 
+    @pytest.mark.parametrize("ratio, positive", [(1e-5, True), (1e-7, False)])
+    def test_rank_rule_cuts_singular_value_ratio_at_1e_6(self, ratio, positive):
+        # SV_TOL applies to the eigenvalues of H H^H, the squared singular values
+        rng = np.random.default_rng(5)
+        u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        v, _ = np.linalg.qr(rng.standard_normal((16, 2)) + 1j * rng.standard_normal((16, 2)))
+        h = u @ np.diag([1.0, ratio]) @ v.conj().T
+        f = np.exp(2j * np.pi * rng.uniform(size=(16, 2))) / 4.0
+        w = dp.digital_precoder(h, f, 2)
+        bound = dp.rate_lower_bound(h, f, w, 1.0, 2)
+        assert (bound > 0.0) if positive else (bound == 0.0)
+        assert bound <= dp.achievable_rate(h, f, w, 1.0, 2) + 1e-9
+
+
 class TestEmpiricalCdf:
     def test_constant_sample_is_step(self):
         xs, cdf = dp.empirical_cdf([2.0, 2.0, 2.0])
