@@ -150,7 +150,6 @@ class TestRateLowerBound:
         stack = np.stack([h[:1]] * 3)
         assert np.array_equal(dp.rate_lower_bound(stack, f, w, cfg.rho, 2), np.zeros(3))
 
-
     @pytest.mark.parametrize("ratio, positive", [(1e-5, True), (1e-7, False)])
     def test_rank_rule_cuts_singular_value_ratio_at_1e_6(self, ratio, positive):
         # SV_TOL applies to the eigenvalues of H H^H, the squared singular values
