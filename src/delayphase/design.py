@@ -7,6 +7,9 @@ symmetric ramp; once the budget is hit, the delay saturates at t_max and the
 phase shifters absorb the remainder. ``design_benchmark`` reproduces the
 fixed-phase prior scheme whose delays are merely clipped to the budget, which
 is the behaviour the joint design improves on.
+
+Each design is one broadcast over (chain, element, phase shifter) at |psi|,
+followed by one shared mirror step for chains with psi < 0.
 """
 
 from __future__ import annotations
@@ -45,52 +48,51 @@ class DesignReport:
         }
 
 
-def _joint_branch(n_ps: int, element: int, psi_abs: float, f_c: float, t_max: float):
-    """Optimal (phases, delay, clamped) for one element at non-negative direction."""
-    n = np.arange(1, n_ps + 1)
-    denom = (2 * element - 1) * n_ps - 1
-    if denom == 0:  # single phase shifter on the first element: nothing to align
-        return np.zeros(n_ps), 0.0, False
-    threshold = 4.0 * f_c * t_max / denom
-    if psi_abs <= threshold:
-        phases = (n_ps - 2 * n + 1) / 2.0 * psi_abs
-        # at psi_abs == threshold the product rounds up to one ulp past t_max
-        delay = min(denom / (4.0 * f_c) * psi_abs, t_max)
-        return phases, delay, False
-    theta_max = 2.0 * f_c * t_max
-    gamma = ((element - 1) * n_ps + n - 1) * psi_abs
-    return theta_max - gamma, t_max, True
+def _directions(cfg: SystemConfig, psi) -> np.ndarray:
+    """psi as one direction per RF chain, each with |psi| <= 1 (NaN rejected)."""
+    psi = np.atleast_1d(np.asarray(psi, float))
+    if psi.shape != (cfg.n_rf,):
+        raise ValueError("psi must provide one direction per RF chain")
+    if not np.all(np.abs(psi) <= 1):
+        raise ValueError("spatial directions must satisfy |psi| <= 1")
+    return psi
+
+
+def _mirrored(cfg: SystemConfig, psi: np.ndarray, phases: np.ndarray,
+              delays: np.ndarray) -> AnalogDesign:
+    """The design for psi from the one for |psi|: where psi < 0, phases negate and
+    delays reflect to t_max - t."""
+    neg = psi < 0
+    return AnalogDesign(phases=np.where(neg[:, None, None], -phases, phases),
+                        delays=np.where(neg[:, None], cfg.t_max - delays, delays))
 
 
 def design_joint(cfg: SystemConfig, psi) -> DesignReport:
     """Jointly optimal phase-shifter and delay settings for each chain's direction.
 
-    psi holds one spatial direction per RF chain (|psi| <= 1). Negative
-    directions reuse the non-negative solution through the sign-invariance of
-    the array gain: phases negate and delays reflect to t_max - t.
+    psi holds one spatial direction per RF chain (|psi| <= 1). One broadcast
+    over (n_rf, M, N) solves every element at |psi|: element m is clamped when
+    |psi| exceeds 4 f_c t_max / ((2m-1)N - 1). Unclamped, it gets the delay
+    ((2m-1)N - 1) |psi| / (4 f_c) and the ramp (N - 2n + 1)/2 |psi|; clamped,
+    it gets t_max and the phases 2 f_c t_max - ((m-1)N + n - 1)|psi|. Negative
+    directions are then mirrored: phases negate and delays reflect to t_max - t.
     """
-    psi = np.atleast_1d(np.asarray(psi, float))
-    if psi.shape != (cfg.n_rf,):
-        raise ValueError("psi must provide one direction per RF chain")
-    if np.any(np.abs(psi) > 1):
-        raise ValueError("spatial directions must satisfy |psi| <= 1")
-    m_ttd, n_ps = cfg.ttds_per_rf, cfg.ps_per_ttd
-    phases = np.zeros((cfg.n_rf, m_ttd, n_ps))
-    delays = np.zeros((cfg.n_rf, m_ttd))
-    clamped = np.zeros((cfg.n_rf, m_ttd), dtype=bool)
-    for l, p in enumerate(psi):
-        mirror = p < 0
-        for m in range(1, m_ttd + 1):
-            x, t, hit = _joint_branch(n_ps, m, abs(p), cfg.f_c, cfg.t_max)
-            if mirror:
-                x = -x
-                t = cfg.t_max - t
-            phases[l, m - 1] = x
-            delays[l, m - 1] = t
-            clamped[l, m - 1] = hit
-    psi_max = float(np.max(np.abs(psi)))
+    psi = _directions(cfg, psi)
+    n_ps, a = cfg.ps_per_ttd, np.abs(psi)[:, None]
+    m, n = np.arange(1, cfg.ttds_per_rf + 1), np.arange(1, n_ps + 1)
+    denom = (2 * m - 1) * n_ps - 1
+    # denom == 0 (one phase shifter on the first element) has nothing to align:
+    # its threshold is inf or NaN, so it never clamps, and its ramp and delay are 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        clamped = a > 4.0 * cfg.f_c * cfg.t_max / denom
+    # at |psi| == threshold the product rounds up to one ulp past t_max
+    delays = np.where(clamped, cfg.t_max, np.minimum(denom / (4.0 * cfg.f_c) * a, cfg.t_max))
+    gamma = ((m[:, None] - 1) * n_ps + n - 1) * a[..., None]
+    phases = np.where(clamped[..., None], 2.0 * cfg.f_c * cfg.t_max - gamma,
+                      (n_ps - 2 * n + 1) / 2.0 * a[..., None])
+    psi_max = float(np.max(a))
     return DesignReport(
-        design=AnalogDesign(phases=phases, delays=delays),
+        design=_mirrored(cfg, psi, phases, delays),
         clamped=clamped,
         nt_bound=nt_upper_bound(cfg, psi_max),
         tmax_bound=tmax_lower_bound(cfg, psi_max),
@@ -104,27 +106,15 @@ def design_benchmark(cfg: SystemConfig, psi) -> AnalogDesign:
     loss at tight delay budgets is exactly what the joint design removes. When
     no delay clips, its array gain matches design_joint on every subcarrier
     (the parameterizations differ only by a common per-subarray phase).
+    One broadcast builds every chain at |psi|, with the same ramp -(n-1)|psi|
+    on every element; negative directions are mirrored as in design_joint.
     """
-    psi = np.atleast_1d(np.asarray(psi, float))
-    if psi.shape != (cfg.n_rf,):
-        raise ValueError("psi must provide one direction per RF chain")
-    if np.any(np.abs(psi) > 1):
-        raise ValueError("spatial directions must satisfy |psi| <= 1")
-    m_ttd, n_ps = cfg.ttds_per_rf, cfg.ps_per_ttd
-    n = np.arange(1, n_ps + 1)
-    m = np.arange(1, m_ttd + 1)
-    phases = np.zeros((cfg.n_rf, m_ttd, n_ps))
-    delays = np.zeros((cfg.n_rf, m_ttd))
-    for l, p in enumerate(psi):
-        s = abs(p)
-        x = -(n - 1) * s
-        t = np.clip(m * n_ps * s / (2.0 * cfg.f_c), 0.0, cfg.t_max)
-        if p < 0:
-            x = -x
-            t = cfg.t_max - t
-        phases[l] = np.tile(x, (m_ttd, 1))
-        delays[l] = t
-    return AnalogDesign(phases=phases, delays=delays)
+    psi = _directions(cfg, psi)
+    a = np.abs(psi)[:, None]
+    m, n = np.arange(1, cfg.ttds_per_rf + 1), np.arange(1, cfg.ps_per_ttd + 1)
+    ramp = np.repeat((-(n - 1) * a)[:, None, :], cfg.ttds_per_rf, axis=1)
+    delays = np.clip(m * cfg.ps_per_ttd * a / (2.0 * cfg.f_c), 0.0, cfg.t_max)
+    return _mirrored(cfg, psi, ramp, delays)
 
 
 def nt_upper_bound(cfg: SystemConfig, psi_max: float):

@@ -77,9 +77,14 @@ class Scenario:
         if (isinstance(self.trials, bool) or not isinstance(self.trials, numbers.Integral)
                 or self.trials < 1):
             raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
-        if not (isinstance(self.psi_eval, numbers.Real) and abs(self.psi_eval) <= 1):
+        if (isinstance(self.psi_eval, bool) or not isinstance(self.psi_eval, numbers.Real)
+                or not abs(self.psi_eval) <= 1):
             raise ValueError(f"psi_eval must be a number with |psi_eval| <= 1, "
                              f"got {self.psi_eval!r}")
+        if self.experiment == "sizing" and self.psi_eval <= 0:
+            raise ValueError(f"sizing needs psi_eval > 0, got {self.psi_eval!r}")
+        if self.experiment == "criteria_report" and self.psi_eval < 0:
+            raise ValueError(f"criteria_report needs psi_eval >= 0, got {self.psi_eval!r}")
         if not (isinstance(self.g0, numbers.Real) and 0 < self.g0 < 1):
             raise ValueError(f"g0 must lie strictly between 0 and 1, got {self.g0!r}")
         _sweep_points(self)  # builds, and so validates, the config of every point

@@ -8,7 +8,10 @@ inner product on unclamped joint designs.
 ``achievable_rate`` and ``rate_lower_bound`` take any digital precoder W.
 ``eigenbeam_rate`` gives the rate of the eigenbeam precoder that
 ``precoders.digital_precoder`` builds, from H F alone: with
-n_streams = n_rf = n_rx that rate needs no eigenvectors.
+n_streams = n_rf = n_rx that rate needs no eigenvectors. Both rates are
+log2 det(I + c G G^H) for some G and c, and share one batched slogdet kernel.
+``rate_lower_bound`` is |det(U_Ns^H H F W)|^2 in closed form, with U_Ns the
+strongest receive modes from one eigendecomposition of H H^H.
 """
 
 from __future__ import annotations
@@ -67,19 +70,23 @@ def _float_or_array(x: np.ndarray):
     return float(x) if x.ndim == 0 else x
 
 
+def _log2det(g: np.ndarray, scale):
+    """log2 det(I + scale G G^H) by one batched slogdet; scale may vary over G's stack."""
+    scale = np.asarray(scale, float)[..., None, None]
+    _, logdet = np.linalg.slogdet(np.eye(g.shape[-2]) + scale * (g @ _hermitian(g)))
+    return _float_or_array(logdet / np.log(2.0))
+
+
 def achievable_rate(h_k: np.ndarray, f_k: np.ndarray, w_k: np.ndarray,
                     rho: float, n_streams: int):
     """Per-subcarrier rate log2 det(I + (rho/n_streams) * (HFW)(HFW)^H) [bits/s/Hz].
 
     Takes one subcarrier, h_k (n_rx, n_tx), f_k (n_tx, n_rf) and w_k
     (n_rf, n_streams), and returns a float; stacks with matching leading axes,
-    (..., n, m), give an array of rates over those axes. Evaluated through the
-    Hermitian eigenvalues of the receive-side Gram matrix (one batched LAPACK
-    call) for numerical stability.
+    (..., n, m), give an array of rates over those axes. Evaluated by the same
+    batched slogdet kernel as eigenbeam_rate.
     """
-    g = h_k @ f_k @ w_k
-    eig = np.clip(np.linalg.eigvalsh(g @ _hermitian(g)), 0.0, None)
-    return _float_or_array(np.sum(np.log2(1.0 + (rho / n_streams) * eig), axis=-1))
+    return _log2det(h_k @ f_k @ w_k, rho / n_streams)
 
 
 def eigenbeam_rate(hf: np.ndarray, f_power, rho: float):
@@ -93,13 +100,10 @@ def eigenbeam_rate(hf: np.ndarray, f_power, rho: float):
     without an eigensolve: one batched slogdet. Returns a float for one
     subcarrier, an array for a stack.
     """
-    hf = np.asarray(hf)
     f_power = np.asarray(f_power, float)
     if np.any(f_power <= 0):
         raise ValueError("analog precoder must have positive power")
-    scale = (rho / f_power)[..., None, None]
-    _, logdet = np.linalg.slogdet(np.eye(hf.shape[-2]) + scale * (hf @ _hermitian(hf)))
-    return _float_or_array(logdet / np.log(2.0))
+    return _log2det(np.asarray(hf), rho / f_power)
 
 
 def rate_lower_bound(h_k: np.ndarray, f_k: np.ndarray, w_k: np.ndarray,
@@ -108,9 +112,9 @@ def rate_lower_bound(h_k: np.ndarray, f_k: np.ndarray, w_k: np.ndarray,
 
     log2(1 + rho * det(S^2 V^H F W W^H F^H V)^(1/n_streams)) with H = U S V^H,
     over the n_streams strongest receive modes (all of them when
-    n_rx = n_streams, as the model assumes). The singular factors come from the
-    eigendecomposition of the small matrix H H^H; right singular vectors are
-    recovered as H^H U / S. A channel with fewer than n_streams eigenvalues of
+    n_rx = n_streams, as the model assumes). There S V^H = U_Ns^H H, with U_Ns
+    the top eigenvectors of the small matrix H H^H, so the determinant is
+    |det(U_Ns^H H F W)|^2. A channel with fewer than n_streams eigenvalues of
     H H^H above SV_TOL times the largest, that is fewer than n_streams singular
     values above sqrt(SV_TOL) = 1e-6 times the largest, is rank-deficient, and
     its bound is zero.
@@ -121,19 +125,11 @@ def rate_lower_bound(h_k: np.ndarray, f_k: np.ndarray, w_k: np.ndarray,
     h_k = np.asarray(h_k)
     if h_k.shape[-2] < n_streams:  # fewer receive modes than streams
         return _float_or_array(np.zeros(h_k.shape[:-2]))
-    h_herm = _hermitian(h_k)
-    eig, u = np.linalg.eigh(h_k @ h_herm)
-    eig = np.clip(eig[..., ::-1], 0.0, None)
-    u = u[..., ::-1]
-    kept = np.count_nonzero(eig > SV_TOL * np.maximum(eig[..., :1], 1e-300), axis=-1)
-    full = kept >= n_streams
-    eig = np.where(full[..., None], eig[..., :n_streams], 1.0)
-    sv = np.sqrt(eig)
-    v = (h_herm @ u[..., :n_streams]) / sv[..., None, :]
-    core = _hermitian(v) @ f_k @ w_k
-    det = np.prod(sv**2, axis=-1) * np.abs(np.linalg.det(core)) ** 2
-    bound = np.log2(1.0 + rho * np.maximum(det, 0.0) ** (1.0 / n_streams))
-    return _float_or_array(np.where(full, bound, 0.0))
+    eig, u = np.linalg.eigh(h_k @ _hermitian(h_k))  # ascending: strongest modes last
+    kept = np.count_nonzero(eig > SV_TOL * np.maximum(eig[..., -1:], 1e-300), axis=-1)
+    det = np.abs(np.linalg.det(_hermitian(u[..., -n_streams:]) @ h_k @ f_k @ w_k))
+    bound = np.log2(1.0 + rho * det ** (2.0 / n_streams))
+    return _float_or_array(np.where(kept >= n_streams, bound, 0.0))
 
 
 def empirical_cdf(values):

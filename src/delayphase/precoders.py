@@ -51,11 +51,13 @@ class AnalogDesign:
         return 2.0 * f_c * self.delays
 
     def validate(self, cfg: SystemConfig) -> None:
-        """Check shapes against cfg and the per-device delay range [0, t_max]."""
+        """Check shapes against cfg, finite phases and delays within [0, t_max] (not NaN)."""
         expect = (cfg.n_rf, cfg.ttds_per_rf, cfg.ps_per_ttd)
         if self.phases.shape != expect:
             raise ValueError(f"phase table shape {self.phases.shape} != {expect}")
-        if np.any(self.delays < 0) or np.any(self.delays > cfg.t_max):
+        if not np.all(np.isfinite(self.phases)):
+            raise ValueError("phases must be finite")
+        if np.any(~((self.delays >= 0) & (self.delays <= cfg.t_max))):
             raise ValueError("delays must lie within [0, t_max]")
 
     def to_dict(self) -> dict:

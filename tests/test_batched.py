@@ -6,8 +6,9 @@ the gain tables' one-chain columns equal the full stack's first column, the
 tuple form of gain_profile one call per array, and the column-wise table
 writer the row-wise csv.writer and json output it replaced. The
 batched rate path must agree to 1e-12 relative with a loop over k of the
-eigenvalue formulas it replaced, which run on the cyclic-Jacobi solver, and
-so must eigenbeam_rate with the rate of digital_precoder's W. The closed-form
+eigenvalue formulas it replaced, which run on the cyclic-Jacobi solver, with
+the bound never above the rate, and so must eigenbeam_rate with the rate of
+digital_precoder's W. The closed-form
 steering Gram matrix must match S^H S of the steering stack to 1e-13, and the
 factored channel the three-operand einsum it replaced to 1e-14 of max |H|.
 The numerical comparisons draw a fixed sequence of examples (derandomize), so
@@ -239,6 +240,7 @@ def test_rate_path_matches_per_subcarrier_reference(cfg, seed):
         assert np.all(np.abs(power - n_s) <= 1e-10)
         rates = dp.achievable_rate(channel.h, analog, w, cfg.rho, n_s)
         bounds = dp.rate_lower_bound(channel.h, analog, w, cfg.rho, n_s)
+        assert np.all(bounds <= rates + 1e-9)
         for k in subcarriers(cfg):
             h, f = channel.h[k - 1], analog[k - 1]
             w_ref = reference_digital(h, f, n_s)

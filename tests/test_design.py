@@ -148,6 +148,9 @@ class TestJointDesign:
             dp.design_joint(cfg, [0.1, 0.2])
         with pytest.raises(ValueError):
             dp.design_joint(cfg, [1.5, 0, 0, 0])
+        for design in (dp.design_joint, dp.design_benchmark):
+            with pytest.raises(ValueError, match=r"\|psi\| <= 1"):
+                design(cfg, [0.1, np.nan, 0, 0])
 
     def test_report_serialization(self, cfg):
         rep = dp.design_joint(cfg, [0.8, -0.2, 0.1, 0.0])

@@ -61,6 +61,10 @@ class TestScenario:
         (dict(sweep=[["t_max", [-1e-12]]]), "t_max"),
         (dict(sweep=[["t_max", ["long"]]]), "t_max"),
         (dict(experiment="prop1_sweep", sweep=[["t_max", [3e-10]]]), "n_tx only"),
+        (dict(psi_eval=True), "psi_eval"),
+        (dict(experiment="sizing", psi_eval=0.0), "psi_eval"),
+        (dict(experiment="sizing", psi_eval=-0.5), "psi_eval"),
+        (dict(experiment="criteria_report", psi_eval=-0.5), "psi_eval"),
     ])
     def test_bad_input_rejected_when_built(self, tmp_path, capsys, fields, message):
         path = write_scenario(tmp_path, **fields)

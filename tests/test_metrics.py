@@ -163,6 +163,27 @@ class TestRateLowerBound:
         assert (bound > 0.0) if positive else (bound == 0.0)
         assert bound <= dp.achievable_rate(h, f, w, 1.0, 2) + 1e-9
 
+    @pytest.mark.parametrize("sv, n_streams", [
+        ((1.0, 1e-4), 2), ((1.0, 1e-5), 2),  # ill-conditioned, above the 1e-6 cut
+        ((1.0, 0.5, 0.1), 2), ((2.0, 0.3, 0.2, 1e-3), 3),  # n_rx > n_streams
+    ])
+    def test_known_singular_values(self, sv, n_streams):
+        # H = U diag(sv) V^H precoded along its top right singular vectors:
+        # the bound is log2(1 + rho (sv_1 ... sv_Ns)^(2/Ns))
+        rng = np.random.default_rng(23)
+        n_rx, n_tx, rho = len(sv), 16, 2.0
+        u, _ = np.linalg.qr(rng.standard_normal((n_rx, n_rx))
+                            + 1j * rng.standard_normal((n_rx, n_rx)))
+        v, _ = np.linalg.qr(rng.standard_normal((n_tx, n_rx))
+                            + 1j * rng.standard_normal((n_tx, n_rx)))
+        h = u @ np.diag(sv) @ v.conj().T
+        f, w = v[:, :n_streams], np.eye(n_streams)
+        want = np.log2(1.0 + rho * np.prod(sv[:n_streams]) ** (2.0 / n_streams))
+        got = dp.rate_lower_bound(h, f, w, rho, n_streams)
+        # relative to the bound floored at 1 bit: H's entries round relative to
+        # sv_1, so a bound of 3e-5 bits at sv = (1, 1e-5) is known to ~1e-16 bits
+        assert abs(got - want) <= 1e-13 * max(want, 1.0)
+
 
 class TestEmpiricalCdf:
     def test_constant_sample_is_step(self):

@@ -75,6 +75,18 @@ class TestTtdMatrix:
         with pytest.raises(ValueError):
             dp.materialize(cfg, bad)
 
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_design_raises(self, cfg, bad_value):
+        # NaN compares False both ways, so a range check alone lets it through
+        phases = np.zeros((cfg.n_rf, cfg.ttds_per_rf, cfg.ps_per_ttd))
+        delays = np.zeros((cfg.n_rf, cfg.ttds_per_rf))
+        bad_delays = dp.AnalogDesign(phases, np.full_like(delays, bad_value))
+        with pytest.raises(ValueError, match=r"delays must lie within \[0, t_max\]"):
+            dp.analog_stack(cfg, bad_delays)
+        phases[1, 2, 3] = bad_value
+        with pytest.raises(ValueError, match="phases must be finite"):
+            dp.analog_stack(cfg, dp.AnalogDesign(phases, delays))
+
 
 class TestComposite:
     def test_all_zero_design_uniform(self, cfg):
