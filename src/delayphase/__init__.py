@@ -9,8 +9,7 @@ from .metrics import (GainProfile, RateProfile, achievable_rate, array_gain,
                       rate_lower_bound, rate_profile, squint_offset)
 from .model import (ChannelRealization, PathSet, SystemConfig, channel_matrices,
                     freq_ratio, freq_ratios, make_rng, sample_channel, sample_paths,
-                    subcarrier_frequencies, subcarrier_frequency, ula_response,
-                    ula_steering)
+                    subcarrier_frequencies, ula_response)
 from .precoders import (AnalogDesign, PrecoderSet, analog_stack, digital_precoder,
                         ideal_precoder, ideal_stack, materialize)
 from .qp import BranchQP, KKTSolution, branch_eta, branch_qp, solve_kkt, solve_projected

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .model import SystemConfig, _readonly
 from .precoders import AnalogDesign
 
@@ -49,12 +50,10 @@ class DesignReport:
 
 
 def _directions(cfg: SystemConfig, psi) -> np.ndarray:
-    """psi as one direction per RF chain, each with |psi| <= 1 (NaN rejected)."""
-    psi = np.atleast_1d(np.asarray(psi, float))
+    """psi as one direction per RF chain, each with |psi| <= 1 (model's check)."""
+    psi = model._directions(psi)
     if psi.shape != (cfg.n_rf,):
         raise ValueError("psi must provide one direction per RF chain")
-    if not np.all(np.abs(psi) <= 1):
-        raise ValueError("spatial directions must satisfy |psi| <= 1")
     return psi
 
 
@@ -124,7 +123,7 @@ def nt_upper_bound(cfg: SystemConfig, psi_max: float):
     psi_max = 0 places no restriction; returns math.inf as the sentinel, as it
     does when a tiny psi_max makes the bound overflow.
     """
-    if psi_max < 0:
+    if not psi_max >= 0:
         raise ValueError("psi_max must be non-negative")
     if psi_max == 0:
         return math.inf
@@ -135,7 +134,7 @@ def nt_upper_bound(cfg: SystemConfig, psi_max: float):
 
 def tmax_lower_bound(cfg: SystemConfig, psi_max: float) -> float:
     """Smallest per-device delay budget keeping every element unclamped [s]."""
-    if psi_max < 0:
+    if not psi_max >= 0:
         raise ValueError("psi_max must be non-negative")
     m = cfg.ttds_per_rf
     return psi_max * ((2 * m - 1) * cfg.n_tx - m) / (4.0 * m) / cfg.f_c

@@ -8,9 +8,11 @@ Experiments:
     prop1_sweep     edge/center-subcarrier gain of a frequency-flat beamformer vs n_tx
     criteria_report antenna-count and delay-budget selection bounds
 
-Every run writes a manifest.json with the resolved configuration and seed.
-Trials use counter-based RNG streams keyed by trial index, so output bytes are
-identical for any thread count.
+Each experiment yields (stem, header, columns); ``run`` writes each table in
+the chosen format, and the header-less sizing result as JSON. One
+``_write_json`` writes every JSON file, manifest.json (configuration and seed)
+included. Trials use counter-based RNG streams keyed by trial index, so output
+bytes are identical for any thread count.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ try:  # version string for the manifest
 except Exception:  # pragma: no cover - not installed
     VERSION = "0+unknown"
 
-EXPERIMENTS = ("gain_cdf", "rate_cdf", "sizing", "prop1_sweep", "criteria_report")
 DESIGN_NAMES = ("proposed", "benchmark", "ideal")
 PROP1_SWEEP = [("n_tx", [128, 256, 512, 1024])]  # prop1_sweep's points when none are given
 _CONFIG_FIELDS = {f.name for f in dc_fields(SystemConfig)}
@@ -139,23 +140,26 @@ def _json_values(column) -> list:
             int(v) if isinstance(v, (int, np.integer)) else v for v in column]
 
 
+def _write_json(path: Path, payload) -> Path:
+    """Write payload as indented, key-sorted JSON with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return path
+
+
 def _write_table(path: Path, header, columns, fmt: str) -> Path:
     """Write a table given column by column, each as long as the table."""
     # append the extension; with_suffix would truncate stems like "t_max=3.2e-10"
-    if fmt == "csv":
-        path = path.parent / (path.name + ".csv")
-        cells = [_csv_cells(c) for c in columns]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(zip(*cells))
-    else:
-        path = path.parent / (path.name + ".json")
-        payload = {"header": list(header),
-                   "rows": list(zip(*(_json_values(c) for c in columns)))}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+    path = path.parent / f"{path.name}.{fmt}"
+    if fmt == "json":
+        return _write_json(path, {"header": list(header),
+                                  "rows": list(zip(*(_json_values(c) for c in columns)))})
+    cells = [_csv_cells(c) for c in columns]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(zip(*cells))
     return path
 
 
@@ -185,13 +189,8 @@ def _apply_sweep(cfg: SystemConfig, param: str, value) -> SystemConfig:
 
 
 def _stem(experiment: str, design: str | None, param: str | None, value) -> str:
-    parts = [experiment]
-    if design:
-        parts.append(design)
-    name = "_".join(parts)
-    if param is not None:
-        name += f"_{param}={_fmt(value)}"
-    return name
+    name = f"{experiment}_{design}" if design else experiment
+    return name if param is None else f"{name}_{param}={_fmt(value)}"
 
 
 def _design_columns(cfg: SystemConfig, psi: float) -> tuple:
@@ -214,7 +213,7 @@ def _design_columns(cfg: SystemConfig, psi: float) -> tuple:
     return slots[:, :, 0], slots[:, :, 1]
 
 
-def _gain_tables(scenario: Scenario, files, out_dir, fmt):
+def _gain_tables(scenario: Scenario, seed, threads):
     psi = scenario.psi_eval
     for param, value, cfg in _sweep_points(scenario):
         ideal = precoders.ideal_stack(cfg, [psi])[:, :, 0]
@@ -222,10 +221,10 @@ def _gain_tables(scenario: Scenario, files, out_dir, fmt):
         k = np.arange(1, cfg.n_subcarriers + 1)
         freqs = subcarrier_frequencies(cfg)
         for name, profile in zip(DESIGN_NAMES, profiles):
-            files.append(_write_table(out_dir / _stem("gain_profile", name, param, value),
-                                      ("k", "f_k", "value"), (k, freqs, profile.gains), fmt))
-            files.append(_write_table(out_dir / _stem("gain_cdf", name, param, value),
-                                      ("x", "G"), (profile.cdf_x, profile.cdf_y), fmt))
+            yield (_stem("gain_profile", name, param, value), ("k", "f_k", "value"),
+                   (k, freqs, profile.gains))
+            yield (_stem("gain_cdf", name, param, value), ("x", "G"),
+                   (profile.cdf_x, profile.cdf_y))
 
 
 def _rate_trial(cfg: SystemConfig, seed: int, point_index: int, trial: int) -> dict:
@@ -255,7 +254,7 @@ def _rate_trial(cfg: SystemConfig, seed: int, point_index: int, trial: int) -> d
     }
 
 
-def _rate_tables(scenario: Scenario, seed, files, out_dir, fmt, threads):
+def _rate_tables(scenario: Scenario, seed, threads):
     for point_index, (param, value, cfg) in enumerate(_sweep_points(scenario)):
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(
@@ -264,27 +263,21 @@ def _rate_tables(scenario: Scenario, seed, files, out_dir, fmt, threads):
         for name in DESIGN_NAMES:
             pooled = np.concatenate([res[name] for res in results])
             profile = metrics.rate_profile(pooled)
-            files.append(_write_table(out_dir / _stem("rate_cdf", name, param, value),
-                                      ("x", "G"), (profile.cdf_x, profile.cdf_y), fmt))
+            yield (_stem("rate_cdf", name, param, value), ("x", "G"),
+                   (profile.cdf_x, profile.cdf_y))
             mean_rows.append((name, profile.mean_rate))
-        files.append(_write_table(out_dir / _stem("rate_mean", None, param, value),
-                                  ("design", "mean_rate"), list(zip(*mean_rows)), fmt))
+        yield _stem("rate_mean", None, param, value), ("design", "mean_rate"), list(zip(*mean_rows))
 
 
-def _sizing_tables(scenario: Scenario, files, out_dir, fmt):
+def _sizing_tables(scenario: Scenario, seed, threads):
     for param, value, cfg in _sweep_points(scenario):
         result = sizing.size_ttds(cfg, scenario.g0, scenario.psi_eval)
-        path = out_dir / (_stem("sizing_result", None, param, value) + ".json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(result.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        files.append(path)
-        rows = sorted((m, g) for m, g in result.worst_gain_by_divisor.items())
-        files.append(_write_table(out_dir / _stem("sizing_trace", None, param, value),
-                                  ("m", "worst_gain"), list(zip(*rows)), fmt))
+        yield _stem("sizing_result", None, param, value), None, result.to_dict()
+        yield (_stem("sizing_trace", None, param, value), ("m", "worst_gain"),
+               list(zip(*sorted(result.worst_gain_by_divisor.items()))))
 
 
-def _prop1_tables(scenario: Scenario, files, out_dir, fmt):
+def _prop1_tables(scenario: Scenario, seed, threads):
     rows = []
     for _, value, cfg in _sweep_points(scenario):
         flat = ula_response(cfg, cfg.center_subcarrier, scenario.psi_eval)
@@ -292,11 +285,10 @@ def _prop1_tables(scenario: Scenario, files, out_dir, fmt):
         center = metrics.array_gain(flat, cfg, cfg.center_subcarrier, scenario.psi_eval)
         rows.append((int(value), edge, center))
     rows.sort(key=lambda r: r[0])
-    files.append(_write_table(out_dir / "prop1_sweep",
-                              ("n_tx", "gain_edge", "gain_center"), list(zip(*rows)), fmt))
+    yield "prop1_sweep", ("n_tx", "gain_edge", "gain_center"), list(zip(*rows))
 
 
-def _criteria_tables(scenario: Scenario, files, out_dir, fmt):
+def _criteria_tables(scenario: Scenario, seed, threads):
     points = sorted(_sweep_points(scenario),
                     key=lambda p: ("" if p[0] is None else p[0],
                                    0.0 if p[1] is None else float(p[1])))
@@ -307,9 +299,13 @@ def _criteria_tables(scenario: Scenario, files, out_dir, fmt):
         rows.append(("" if param is None else param,
                      "" if value is None else _fmt(value),
                      "inf" if nt == float("inf") else int(nt), tmax))
-    files.append(_write_table(out_dir / "criteria_report",
-                              ("param", "value", "nt_bound", "tmax_bound_s"), list(zip(*rows)),
-                              fmt))
+    yield "criteria_report", ("param", "value", "nt_bound", "tmax_bound_s"), list(zip(*rows))
+
+
+# each experiment yields (stem, header, columns): a table, or with no header a JSON document
+_EXPERIMENTS = {"gain_cdf": _gain_tables, "rate_cdf": _rate_tables, "sizing": _sizing_tables,
+                "prop1_sweep": _prop1_tables, "criteria_report": _criteria_tables}
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def run(scenario: Scenario, seed: int | None = None, out_dir=None,
@@ -326,17 +322,10 @@ def run(scenario: Scenario, seed: int | None = None, out_dir=None,
     started = _dt.datetime.now(_dt.timezone.utc).isoformat()
     t0 = time.perf_counter()
 
-    files: list = []
-    if scenario.experiment == "gain_cdf":
-        _gain_tables(scenario, files, out, fmt)
-    elif scenario.experiment == "rate_cdf":
-        _rate_tables(scenario, seed, files, out, fmt, threads)
-    elif scenario.experiment == "sizing":
-        _sizing_tables(scenario, files, out, fmt)
-    elif scenario.experiment == "prop1_sweep":
-        _prop1_tables(scenario, files, out, fmt)
-    elif scenario.experiment == "criteria_report":
-        _criteria_tables(scenario, files, out, fmt)
+    files = [_write_json(out / f"{stem}.json", columns) if header is None
+             else _write_table(out / stem, header, columns, fmt)
+             for stem, header, columns in _EXPERIMENTS[scenario.experiment](
+                 scenario, seed, threads)]
 
     manifest = {
         "experiment": scenario.experiment,
@@ -353,8 +342,5 @@ def run(scenario: Scenario, seed: int | None = None, out_dir=None,
         "elapsed_s": time.perf_counter() - t0,
         "files": sorted(p.name for p in files),
     }
-    manifest_path = out / "manifest.json"
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "manifest.json", manifest)
     return RunResult(out_dir=out, files=sorted(files), manifest=manifest)

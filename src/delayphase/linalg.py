@@ -1,10 +1,11 @@
-"""Small dense linear-algebra kernels: a cyclic-Jacobi Hermitian eigensolver and a
-pivoted Gaussian-elimination solve that preserves extended-precision dtypes.
+"""Small dense linear-algebra kernels: the conjugate transpose of a stack,
+eigenvector phase fixing and a cyclic-Jacobi Hermitian eigensolver.
 
-The matrices handled here are tiny (RF-chain scale, typically 4x4), so simple
-O(n^3) routines with deterministic behaviour beat any external dependency; the
-Jacobi core runs on Python scalars, which is several times faster than sliced
-numpy updates at these sizes.
+``fix_phase`` makes the digital precoder deterministic. ``jacobi_eigh`` has no
+library caller: the batched rate path runs on LAPACK, and the tests use it as
+a reference. It stays because the benchmark's tracer (bench/spans.py) wraps
+it by name. Its core runs on Python scalars, which at RF-chain sizes
+(typically 4x4) is several times faster than sliced numpy updates.
 """
 
 from __future__ import annotations
@@ -94,6 +95,11 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
     return w[order], fix_phase(vecs[:, order])
 
 
+def _hermitian(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose over the last two axes."""
+    return a.conj().swapaxes(-1, -2)
+
+
 def fix_phase(v: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude entry is real positive.
 
@@ -107,29 +113,3 @@ def fix_phase(v: np.ndarray) -> np.ndarray:
     nonzero = size > 0
     return v * np.where(nonzero, pivot.conj() / np.where(nonzero, size, 1.0), 1.0)
 
-
-def solve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b by Gaussian elimination with partial pivoting.
-
-    Works in the dtype of the inputs, so longdouble systems are solved in
-    extended precision (LAPACK-backed solvers would silently downcast).
-    """
-    a = np.array(a)
-    b = np.array(b)
-    n = a.shape[0]
-    if a.shape != (n, n) or b.shape != (n,):
-        raise ValueError("expected square matrix and matching vector")
-    for i in range(n):
-        p = i + int(np.argmax(np.abs(a[i:, i])))
-        if a[p, i] == 0:
-            raise np.linalg.LinAlgError("singular matrix in solve_dense")
-        if p != i:
-            a[[i, p]] = a[[p, i]]
-            b[[i, p]] = b[[p, i]]
-        factors = a[i + 1:, i] / a[i, i]
-        a[i + 1:, i:] -= factors[:, None] * a[i, i:]
-        b[i + 1:] -= factors * b[i]
-    x = np.empty_like(b)
-    for i in range(n - 1, -1, -1):
-        x[i] = (b[i] - a[i, i + 1:] @ x[i + 1:]) / a[i, i]
-    return x

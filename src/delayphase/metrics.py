@@ -2,8 +2,9 @@
 
 Array gain is always computed as a direct inner product with the subcarrier's
 steering vector, so it applies to arbitrary unit-norm precoder columns; the
-closed-form Dirichlet-kernel ratio is provided separately and agrees with the
-inner product on unclamped joint designs.
+closed-form Dirichlet-kernel ratio is provided separately, from the same kernel
+as ``model.steering_gram``, and agrees with the inner product on unclamped
+joint designs.
 
 ``achievable_rate`` and ``rate_lower_bound`` take any digital precoder W.
 ``eigenbeam_rate`` gives the rate of the eigenbeam precoder that
@@ -16,15 +17,16 @@ strongest receive modes from one eigendecomposition of H H^H.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 # jacobi_eigh is unused here but stays importable under this name: the
 # benchmark's tracer (bench/spans.py) wraps it at every attribute it is bound to.
-from .linalg import jacobi_eigh  # noqa: F401
-from .model import (SystemConfig, _readonly, freq_ratio, freq_ratios, steering_stack,
-                    ula_response)
+from .linalg import _hermitian, jacobi_eigh  # noqa: F401
+from .model import (SystemConfig, _dirichlet, _readonly, freq_ratio, freq_ratios,
+                    steering_stack, ula_response)
 
 NORM_TOL = 1e-9  # allowed deviation of a precoder column's 2-norm from 1
 # eigenvalues of H H^H (squared singular values) at or below SV_TOL times the
@@ -48,21 +50,13 @@ def array_gain(f: np.ndarray, cfg: SystemConfig, k: int, psi: float) -> float:
 def dirichlet_gain(n: int, delta) -> np.ndarray | float:
     """|sin(n*delta) / (n*sin(delta))|, the gain envelope of an n-element subarray.
 
-    The removable singularity at sin(delta) -> 0 evaluates to 1 (guard at
-    |sin(delta)| < 1e-9).
+    The magnitude of model.steering_gram's Dirichlet kernel: delta is reduced
+    to [-pi/2, pi/2], and only the exact zeros of sin(delta) take the limit 1,
+    so a tiny nonzero delta keeps its 1 - (n^2 - 1) delta^2 / 6.
     """
     if n < 1:
         raise ValueError("subarray size must be >= 1")
-    delta = np.asarray(delta, float)
-    s = np.sin(delta)
-    tiny = np.abs(s) < 1e-9
-    safe = np.where(tiny, 1.0, s)
-    out = np.where(tiny, 1.0, np.abs(np.sin(n * delta) / (n * safe)))
-    return float(out) if out.ndim == 0 else out
-
-
-def _hermitian(a: np.ndarray) -> np.ndarray:
-    return a.conj().swapaxes(-1, -2)
+    return _float_or_array(np.abs(_dirichlet(n, np.asarray(delta, float))[1]))
 
 
 def _float_or_array(x: np.ndarray):
@@ -70,9 +64,15 @@ def _float_or_array(x: np.ndarray):
     return float(x) if x.ndim == 0 else x
 
 
-def _log2det(g: np.ndarray, scale):
-    """log2 det(I + scale G G^H) by one batched slogdet; scale may vary over G's stack."""
-    scale = np.asarray(scale, float)[..., None, None]
+def _check_rho(rho) -> None:
+    if not 0 <= rho < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"rho must be a finite non-negative number, got {rho!r}")
+
+
+def _log2det(g: np.ndarray, rho, power):
+    """log2 det(I + (rho/power) G G^H) by one batched slogdet; power may vary over G's stack."""
+    _check_rho(rho)
+    scale = np.asarray(rho / power, float)[..., None, None]
     _, logdet = np.linalg.slogdet(np.eye(g.shape[-2]) + scale * (g @ _hermitian(g)))
     return _float_or_array(logdet / np.log(2.0))
 
@@ -86,7 +86,7 @@ def achievable_rate(h_k: np.ndarray, f_k: np.ndarray, w_k: np.ndarray,
     (..., n, m), give an array of rates over those axes. Evaluated by the same
     batched slogdet kernel as eigenbeam_rate.
     """
-    return _log2det(h_k @ f_k @ w_k, rho / n_streams)
+    return _log2det(h_k @ f_k @ w_k, rho, n_streams)
 
 
 def eigenbeam_rate(hf: np.ndarray, f_power, rho: float):
@@ -101,9 +101,9 @@ def eigenbeam_rate(hf: np.ndarray, f_power, rho: float):
     subcarrier, an array for a stack.
     """
     f_power = np.asarray(f_power, float)
-    if np.any(f_power <= 0):
+    if not (f_power > 0).all():
         raise ValueError("analog precoder must have positive power")
-    return _log2det(np.asarray(hf), rho / f_power)
+    return _log2det(np.asarray(hf), rho, f_power)
 
 
 def rate_lower_bound(h_k: np.ndarray, f_k: np.ndarray, w_k: np.ndarray,
@@ -122,6 +122,7 @@ def rate_lower_bound(h_k: np.ndarray, f_k: np.ndarray, w_k: np.ndarray,
     returns a float, or stacks with matching leading axes, (..., n, m), and
     returns an array.
     """
+    _check_rho(rho)
     h_k = np.asarray(h_k)
     if h_k.shape[-2] < n_streams:  # fewer receive modes than streams
         return _float_or_array(np.zeros(h_k.shape[:-2]))
@@ -141,10 +142,8 @@ def empirical_cdf(values):
     values = np.asarray(values, float).ravel()
     if values.size == 0:
         raise ValueError("empirical_cdf needs at least one value")
-    xs = np.unique(values)
-    sorted_vals = np.sort(values)
-    cdf = np.searchsorted(sorted_vals, xs, side="right") / values.size
-    return xs, cdf
+    xs, counts = np.unique(values, return_counts=True)
+    return xs, np.cumsum(counts) / values.size
 
 
 @dataclass(frozen=True)
@@ -213,7 +212,7 @@ def gain_profile(cfg: SystemConfig, columns, psi: float):
 def rate_profile(rates) -> RateProfile:
     """Wrap a rate sample (any shape) into a profile with mean and CDF."""
     rates = np.asarray(rates, float).ravel()
-    if np.any(rates < 0):
+    if not (rates >= 0).all():
         raise ValueError("rates must be non-negative")
     xs, cdf = empirical_cdf(rates)
     return RateProfile(rates=rates, mean_rate=float(rates.mean()), cdf_x=xs, cdf_y=cdf)

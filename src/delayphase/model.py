@@ -139,19 +139,8 @@ class SystemConfig:
             return cls.from_dict(json.load(fh))
 
 
-def _check_index(cfg: SystemConfig, k: int) -> int:
-    if not 1 <= k <= cfg.n_subcarriers:
-        raise IndexError(f"subcarrier index {k} outside 1..{cfg.n_subcarriers}")
-    return int(k)
-
-
-def subcarrier_frequency(cfg: SystemConfig, k: int) -> float:
-    """Frequency of the k-th subcarrier (1-based): f_c + (B/K)(k - 1 - (K-1)/2)."""
-    return float(subcarrier_frequencies(cfg)[_check_index(cfg, k) - 1])
-
-
 def subcarrier_frequencies(cfg: SystemConfig) -> np.ndarray:
-    """All K subcarrier frequencies as an array."""
+    """All K subcarrier frequencies; subcarrier k (1-based) is f_c + (B/K)(k - 1 - (K-1)/2)."""
     K = cfg.n_subcarriers
     k = np.arange(1, K + 1)
     return cfg.f_c + (cfg.bandwidth / K) * (k - 1 - (K - 1) / 2)
@@ -159,7 +148,9 @@ def subcarrier_frequencies(cfg: SystemConfig) -> np.ndarray:
 
 def freq_ratio(cfg: SystemConfig, k: int) -> float:
     """Ratio f_k / f_c; scales spatial directions from the carrier to subcarrier k."""
-    return float(freq_ratios(cfg)[_check_index(cfg, k) - 1])
+    if not 1 <= k <= cfg.n_subcarriers:
+        raise IndexError(f"subcarrier index {k} outside 1..{cfg.n_subcarriers}")
+    return float(freq_ratios(cfg)[int(k) - 1])
 
 
 def freq_ratios(cfg: SystemConfig) -> np.ndarray:
@@ -170,11 +161,24 @@ def freq_ratios(cfg: SystemConfig) -> np.ndarray:
 
 
 def _directions(psi) -> np.ndarray:
-    """Spatial directions as a 1-D float array, each checked to satisfy |psi| <= 1."""
+    """Spatial directions as a 1-D float array, each checked to satisfy |psi| <= 1 (NaN fails)."""
     psi = np.atleast_1d(np.asarray(psi, float))
-    if (np.abs(psi) > 1).any():
+    if not (np.abs(psi) <= 1).all():
         raise ValueError("spatial direction must satisfy |psi| <= 1")
     return psi
+
+
+def _dirichlet(n: int, x: np.ndarray) -> tuple:
+    """(x reduced to [-pi/2, pi/2], sin(nx) / (n sin x)), with 1 where sin x == 0.
+
+    Its magnitude, and e^{j(n-1)x} times it, have period pi in x, so x is
+    reduced first: near the grating lobe x = +-pi, sin(nx) / sin(x) would divide
+    two rounding errors (an error of order 1 for n = 45 at |x - pi| ~ 1e-16).
+    """
+    x = x - np.pi * np.rint(x / np.pi)
+    s = np.sin(x)
+    zero = s == 0
+    return x, np.where(zero, 1.0, np.sin(n * x) / (n * np.where(zero, 1.0, s)))
 
 
 def steering_stack(n_elements: int, ratios, psi) -> np.ndarray:
@@ -197,30 +201,19 @@ def steering_gram(n_elements: int, ratios, psi) -> np.ndarray:
 
     Shape (len(ratios), len(psi), len(psi)). Entry (l, m) at ratio r is the
     complex Dirichlet kernel e^{j(n-1)x} sin(nx) / (n sin x) with
-    x = (pi/2) r (psi_l - psi_m), and 1 where sin x == 0. The kernel has period
-    pi in x, so x is first reduced to [-pi/2, pi/2]; near the grating lobe
-    x = +-pi, sin(nx) / sin(x) would otherwise divide two rounding errors
-    (an error of order 1 for n = 45 at |x - pi| ~ 1e-16).
+    x = (pi/2) r (psi_l - psi_m) reduced to [-pi/2, pi/2], and 1 where
+    sin x == 0 (see _dirichlet).
     """
     ratios = np.atleast_1d(np.asarray(ratios, float))
     psi = _directions(psi)
-    x = (0.5 * np.pi) * ratios[:, None, None] * (psi[:, None] - psi[None, :])
-    x -= np.pi * np.rint(x / np.pi)
-    s = np.sin(x)
-    zero = s == 0
-    kernel = np.sin(n_elements * x) / (n_elements * np.where(zero, 1.0, s))
-    kernel[zero] = 1.0
+    x, kernel = _dirichlet(
+        n_elements, (0.5 * np.pi) * ratios[:, None, None] * (psi[:, None] - psi[None, :]))
     return np.exp((1j * (n_elements - 1)) * x) * kernel
-
-
-def ula_steering(n_elements: int, ratio: float, psi: float) -> np.ndarray:
-    """Unit-norm ULA response at one frequency ratio and direction, shape (n_elements,)."""
-    return steering_stack(n_elements, ratio, psi)[0, :, 0]
 
 
 def ula_response(cfg: SystemConfig, k: int, psi: float) -> np.ndarray:
     """Transmit-array response vector at subcarrier k toward direction psi (|psi| <= 1)."""
-    return ula_steering(cfg.n_tx, freq_ratio(cfg, k), psi)
+    return steering_stack(cfg.n_tx, freq_ratio(cfg, k), psi)[0, :, 0]
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 # jacobi_eigh is unused here but stays importable under this name: the
 # benchmark's tracer (bench/spans.py) wraps it at every attribute it is bound to.
-from .linalg import fix_phase, jacobi_eigh  # noqa: F401
+from .linalg import _hermitian, fix_phase, jacobi_eigh  # noqa: F401
 from .model import (SystemConfig, _readonly, freq_ratio, freq_ratios, steering_stack,
                     subcarrier_frequencies)
 
@@ -45,10 +45,6 @@ class AnalogDesign:
     @property
     def n_rf(self) -> int:
         return self.phases.shape[0]
-
-    def normalized_delays(self, f_c: float) -> np.ndarray:
-        """Dimensionless delay table 2 * f_c * delays."""
-        return 2.0 * f_c * self.delays
 
     def validate(self, cfg: SystemConfig) -> None:
         """Check shapes against cfg, finite phases and delays within [0, t_max] (not NaN)."""
@@ -142,11 +138,6 @@ def ideal_stack(cfg: SystemConfig, psi) -> np.ndarray:
     return steering_stack(cfg.n_tx, freq_ratios(cfg), psi)
 
 
-def _gram(a: np.ndarray) -> np.ndarray:
-    """A^H A over the last two axes."""
-    return a.conj().swapaxes(-1, -2) @ a
-
-
 def digital_precoder(h_k: np.ndarray, f_k: np.ndarray, n_streams: int) -> np.ndarray:
     """Baseband precoder: dominant eigenvectors of (H F)^H (H F), power-normalized.
 
@@ -158,9 +149,10 @@ def digital_precoder(h_k: np.ndarray, f_k: np.ndarray, n_streams: int) -> np.nda
     F^H F. Eigenvector phases are fixed for determinism; with a degenerate
     spectrum any orthonormal basis of the dominant eigenspace is a valid result.
     """
-    _, vecs = np.linalg.eigh(_gram(h_k @ f_k))
+    hf = h_k @ f_k
+    _, vecs = np.linalg.eigh(_hermitian(hf) @ hf)
     w = fix_phase(vecs[..., ::-1][..., :n_streams])
-    power = np.sum((w.conj() * (_gram(f_k) @ w)).real, axis=(-2, -1))
+    power = np.sum((w.conj() * (_hermitian(f_k) @ f_k @ w)).real, axis=(-2, -1))
     if np.any(power <= 0):
         raise np.linalg.LinAlgError("analog precoder annihilates every stream")
     return w * np.sqrt(n_streams / power)[..., None, None]

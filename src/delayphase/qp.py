@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import solve_dense
-from .model import SystemConfig, freq_ratios
+from .model import SystemConfig, _directions, freq_ratios
 
 LONG = np.longdouble
 KKT_CHECK_TOL = 1e-9  # largest first-order residual solve_kkt accepts
@@ -61,11 +60,8 @@ class BranchQP:
     def inverse_closed_form(self) -> np.ndarray:
         """Closed-form C^{-1}: [[I + (1/eta) 1 1^T, (1/eta) 1], [(1/eta) 1^T, 1/eta]]."""
         n = self.n_ps
-        inv = np.eye(n + 1, dtype=LONG)
-        inv[:n, :n] += LONG(1.0) / LONG(self.eta)
-        inv[:n, n] = LONG(1.0) / LONG(self.eta)
-        inv[n, :n] = LONG(1.0) / LONG(self.eta)
-        inv[n, n] = LONG(1.0) / LONG(self.eta)
+        inv = np.full((n + 1, n + 1), LONG(1.0) / LONG(self.eta), dtype=LONG)
+        inv[:n, :n] += np.eye(n, dtype=LONG)
         return inv
 
 
@@ -88,8 +84,7 @@ def branch_qp(cfg: SystemConfig, psi: float, chain: int = 1, element: int = 1) -
     Raises ValueError for zero bandwidth (or a single subcarrier): eta = 0
     makes C singular, and a narrowband system needs no delay elements at all.
     """
-    if abs(psi) > 1:
-        raise ValueError("spatial direction must satisfy |psi| <= 1")
+    (psi,) = _directions(psi)
     if not 1 <= element <= cfg.ttds_per_rf:
         raise ValueError("element index outside 1..ttds_per_rf")
     if not 1 <= chain <= cfg.n_rf:
@@ -181,12 +176,12 @@ def solve_projected(branch: BranchQP, tol: float = 1e-10, max_iter: int = 500_00
     The step is 1 / lambda_max with lambda_max bounded by Gamma + N
     (Gershgorin); no line search. Projection clamps the final coordinate to
     [0, theta_max]. By default the iteration is warm-started at the projected
-    solution of the unconstrained normal equations C a = d, obtained by a
-    generic pivoted elimination: with the box inactive that point is already
-    stationary, and with the box active the remaining descent is over the
-    well-conditioned phase block, so the fixed-step iteration contracts
-    geometrically instead of crawling along the near-flat delay direction
-    (curvature eta can be ~1e-5 at 1% fractional bandwidth).
+    solution C^{-1} d of the normal equations, from inverse_closed_form(): with
+    the box inactive that point is already stationary, and with the box active
+    the remaining descent is over the well-conditioned phase block, so the
+    iteration contracts geometrically instead of crawling along the near-flat
+    delay direction (curvature eta can be ~1e-5 at 1% fractional bandwidth).
+    Only the iteration's own step test decides convergence.
 
     ``tol`` is the target accuracy of the returned coordinates under the
     default warm start. With an explicit ``x0`` on a badly conditioned branch
@@ -199,7 +194,7 @@ def solve_projected(branch: BranchQP, tol: float = 1e-10, max_iter: int = 500_00
     theta_max = LONG(branch.theta_max)
     lip = LONG(branch.gamma) + n  # Gershgorin bound on lambda_max(C)
     if x0 is None:
-        a = solve_dense(branch.C, branch.d)
+        a = branch.inverse_closed_form() @ branch.d
     else:
         a = np.asarray(x0, dtype=LONG).copy()
         if a.shape != (n + 1,):

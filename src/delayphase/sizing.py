@@ -34,13 +34,10 @@ def divisors(n: int) -> list:
 
 
 def divisor_ceiling(x: float, n: int) -> int:
-    """Smallest divisor of n that is >= x. Requires x <= n."""
-    if x > n:
+    """Smallest divisor of n that is >= x. Requires x <= n (NaN fails)."""
+    if not x <= n:
         raise ValueError(f"no divisor of {n} is >= {x}")
-    for d in divisors(n):
-        if d >= x:
-            return d
-    return n  # unreachable: n itself qualifies
+    return next(d for d in divisors(n) if d >= x)
 
 
 def taylor_gain(n_tx: int, m: int, delta) -> np.ndarray | float:
@@ -62,7 +59,7 @@ def gain_margin(g0: float, bandwidth: float, f_c: float, n_subcarriers: int,
     """
     if not 0 < g0 < 1:
         raise ValueError("g0 must lie strictly between 0 and 1")
-    if psi_max <= 0:
+    if not psi_max > 0:
         raise ValueError("psi_max must be positive")
     edge = (np.pi / 2.0) * (bandwidth / f_c) * (n_subcarriers - 1) / (2.0 * n_subcarriers)
     if edge == 0:
@@ -90,8 +87,10 @@ def min_ttds_linear(cfg: SystemConfig, g0: float, psi_max: float) -> float:
 
     Not rounded; linear in the bandwidth. Diverges as g0 -> 1 (returns inf).
     """
-    if psi_max < 0:
+    if not psi_max >= 0:
         raise ValueError("psi_max must be non-negative")
+    if math.isnan(g0):
+        raise ValueError("g0 must be a number")
     if g0 >= 1.0:
         return math.inf
     return (np.pi * cfg.n_tx / (4.0 * cfg.f_c)) * math.sqrt(

@@ -216,6 +216,13 @@ class TestCriteria:
         with pytest.raises(ValueError):
             dp.nt_upper_bound(cfg, -0.1)
 
+    def test_bounds_reject_nan_or_negative_direction(self, cfg):
+        # NaN used to give nt_upper_bound = inf and tmax_lower_bound = nan
+        for bound in (dp.nt_upper_bound, dp.tmax_lower_bound):
+            for psi_max in (math.nan, -0.1):
+                with pytest.raises(ValueError, match="psi_max must be non-negative"):
+                    bound(cfg, psi_max)
+
     def test_delay_bound_headline(self, cfg):
         # 0.8 * (31*256 - 16) / (64 f_c) = 330 ps
         assert dp.tmax_lower_bound(cfg, 0.8) == pytest.approx(330e-12, rel=1e-12)

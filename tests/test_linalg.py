@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from delayphase.linalg import fix_phase, jacobi_eigh, solve_dense
+from delayphase.linalg import fix_phase, jacobi_eigh
 
 
 def random_hermitian(rng, n):
@@ -85,27 +85,3 @@ class TestFixPhase:
         assert np.allclose(np.abs(fixed), np.abs(v), atol=1e-14)
         assert np.allclose(fix_phase(fixed), fixed, atol=1e-14)
 
-
-class TestSolveDense:
-    def test_matches_lapack(self):
-        rng = np.random.default_rng(6)
-        for n in (1, 2, 5, 12):
-            a = rng.normal(size=(n, n))
-            b = rng.normal(size=n)
-            assert np.allclose(solve_dense(a, b), np.linalg.solve(a, b), atol=1e-10)
-
-    def test_preserves_longdouble(self):
-        a = np.eye(3, dtype=np.longdouble) * np.longdouble(3)
-        b = np.ones(3, dtype=np.longdouble)
-        x = solve_dense(a, b)
-        assert x.dtype == np.longdouble
-        assert np.allclose(x.astype(float), 1 / 3, rtol=1e-15)
-
-    def test_pivoting_handles_zero_leading_entry(self):
-        a = np.array([[0.0, 1.0], [1.0, 0.0]])
-        b = np.array([2.0, 3.0])
-        assert np.allclose(solve_dense(a, b), [3.0, 2.0])
-
-    def test_singular_raises(self):
-        with pytest.raises(np.linalg.LinAlgError):
-            solve_dense(np.zeros((2, 2)), np.ones(2))

@@ -185,6 +185,31 @@ class TestRateLowerBound:
         assert abs(got - want) <= 1e-13 * max(want, 1.0)
 
 
+class TestRateInputsRejected:
+    # NaN compares False both ways, so checks written as x < 0 or x <= 0 let it through
+
+    @pytest.mark.parametrize("rho", [-3.0, np.nan, np.inf])
+    def test_bad_rho(self, rho):
+        i2 = np.eye(2, dtype=complex)
+        for rate in (dp.achievable_rate, dp.rate_lower_bound):
+            with pytest.raises(ValueError, match="rho must be a finite non-negative number"):
+                rate(i2, i2, i2, rho, 2)
+        for f_power in (2.0, [2.0, 2.0]):
+            with pytest.raises(ValueError, match="rho must be a finite non-negative number"):
+                dp.eigenbeam_rate(np.stack([i2, i2]), f_power, rho)
+
+    @pytest.mark.parametrize("f_power", [np.nan, 0.0, -1.0, [2.0, np.nan]])
+    def test_bad_f_power(self, f_power):
+        i2 = np.eye(2, dtype=complex)
+        with pytest.raises(ValueError, match="positive power"):
+            dp.eigenbeam_rate(np.stack([i2, i2]), f_power, 2.0)
+
+    @pytest.mark.parametrize("rates", [[1.0, np.nan], [1.0, -0.5]])
+    def test_bad_rates(self, rates):
+        with pytest.raises(ValueError, match="rates must be non-negative"):
+            dp.rate_profile(rates)
+
+
 class TestEmpiricalCdf:
     def test_constant_sample_is_step(self):
         xs, cdf = dp.empirical_cdf([2.0, 2.0, 2.0])
@@ -195,6 +220,11 @@ class TestEmpiricalCdf:
         xs, cdf = dp.empirical_cdf([0.1, 0.5, 0.3])
         assert cdf[-1] == 1.0
         assert np.all(np.diff(cdf) >= 0)
+
+    def test_counts_repeated_values(self):
+        xs, cdf = dp.empirical_cdf([[3.0, 1.0], [3.0, 2.0], [1.0, 3.0]])
+        assert xs.tolist() == [1.0, 2.0, 3.0]
+        assert cdf.tolist() == [2 / 6, 3 / 6, 6 / 6]
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):

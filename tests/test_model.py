@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import delayphase as dp
 from conftest import make_config
+from delayphase.model import steering_gram, steering_stack
 
 
 class TestSystemConfig:
@@ -69,25 +70,22 @@ class TestSystemConfig:
 
 class TestSubcarrierGrid:
     def test_central_subcarrier_at_carrier(self, cfg):
-        assert dp.subcarrier_frequency(cfg, 65) == pytest.approx(300e9, rel=1e-15)
+        assert dp.subcarrier_frequencies(cfg)[65 - 1] == pytest.approx(300e9, rel=1e-15)
 
     def test_edge_frequencies(self, cfg):
         # by hand: 300 GHz -/+ 30 GHz * 64/129
-        assert dp.subcarrier_frequency(cfg, 1) == pytest.approx(285116279069.76746, rel=1e-12)
-        assert dp.subcarrier_frequency(cfg, 129) == pytest.approx(314883720930.23254, rel=1e-12)
+        freqs = dp.subcarrier_frequencies(cfg)
+        assert freqs[1 - 1] == pytest.approx(285116279069.76746, rel=1e-12)
+        assert freqs[129 - 1] == pytest.approx(314883720930.23254, rel=1e-12)
 
     def test_out_of_range_index(self, cfg):
         for k in (0, 130, -3):
             with pytest.raises(IndexError):
-                dp.subcarrier_frequency(cfg, k)
-            with pytest.raises(IndexError):
                 dp.freq_ratio(cfg, k)
 
     def test_vectorized_matches_scalar(self, cfg):
-        freqs = dp.subcarrier_frequencies(cfg)
         ratios = dp.freq_ratios(cfg)
         for k in (1, 2, 64, 65, 129):
-            assert freqs[k - 1] == dp.subcarrier_frequency(cfg, k)
             assert ratios[k - 1] == dp.freq_ratio(cfg, k)
 
     def test_ratio_values(self, cfg):
@@ -129,6 +127,19 @@ class TestSteering:
         with pytest.raises(ValueError):
             dp.ula_response(cfg, 1, 1.2)
 
+    @pytest.mark.parametrize("build", [
+        lambda cfg, psi: steering_stack(cfg.n_tx, dp.freq_ratios(cfg), psi),
+        lambda cfg, psi: steering_gram(cfg.n_tx, dp.freq_ratios(cfg), psi),
+        lambda cfg, psi: dp.ideal_precoder(cfg, psi, 1),
+        lambda cfg, psi: dp.ula_response(cfg, 1, psi[1]),
+        lambda cfg, psi: dp.array_gain(dp.ula_response(cfg, 1, 0.0), cfg, 1, psi[1]),
+    ], ids=["steering_stack", "steering_gram", "ideal_precoder", "ula_response", "array_gain"])
+    @pytest.mark.parametrize("bad", [np.nan, 1.2, -np.inf])
+    def test_rejects_nan_or_out_of_range_direction(self, cfg, build, bad):
+        # NaN compares False both ways, so a check written as |psi| > 1 lets it through
+        with pytest.raises(ValueError, match=r"\|psi\| <= 1"):
+            build(cfg, [0.3, bad])
+
 
 def _single_path_config():
     return make_config(n_tx=8, n_rx=1, n_rf=1, n_streams=1, ttds_per_rf=4,
@@ -143,8 +154,8 @@ class TestChannel:
                            aod=[np.arcsin(psi)], aoa=[0.0])
         h = dp.channel_matrices(cfg, paths)
         for k in (1, 5, 9):
-            u = dp.ula_steering(cfg.n_rx, dp.freq_ratio(cfg, k), 0.0)
-            v = dp.ula_steering(cfg.n_tx, dp.freq_ratio(cfg, k), psi)
+            u = steering_stack(cfg.n_rx, dp.freq_ratio(cfg, k), 0.0)[0, :, 0]
+            v = steering_stack(cfg.n_tx, dp.freq_ratio(cfg, k), psi)[0, :, 0]
             expected = np.sqrt(cfg.n_rx * cfg.n_tx) * np.outer(u, v.conj())
             assert np.allclose(h[k - 1], expected, atol=1e-12)
             assert np.linalg.matrix_rank(h[k - 1]) == 1

@@ -1,7 +1,7 @@
 """Output-equivalence guard.
 
-The design-side scenario tables must stay byte-identical (the gain tables also
-as JSON, which keeps every digit), and the pooled mean rates and every
+The design-side scenario tables must stay byte-identical (also as JSON, which
+keeps every digit), and the pooled mean rates and every
 design's per-subcarrier rates (the x column of its rate CDF) of a small
 rate_cdf run must stay within 1e-12 relative, to the values recorded in
 tests/data/expected_outputs.json. Rewrite that file only for a
@@ -26,7 +26,7 @@ ROOT = Path(__file__).resolve().parents[1]
 EXPECTED = Path(__file__).resolve().parent / "data" / "expected_outputs.json"
 DESIGN_SCENARIOS = ("gain_cdf", "gain_cdf_antennas", "sizing", "prop1_sweep",
                     "criteria_report")
-JSON_SCENARIOS = ("gain_cdf",)  # also written with fmt="json"
+JSON_SCENARIOS = DESIGN_SCENARIOS  # also written with fmt="json"
 # the small rate_cdf configuration of acceptance criterion 8
 RATE_SCENARIO = dict(
     experiment="rate_cdf",

@@ -6,9 +6,11 @@ lies in [0, 1]; when no delay clips, the joint and benchmark designs give
 the same gain on every subcarrier; and when delays clip, the joint design's
 gain at the center subcarrier is at least the benchmark's. The broadcast
 design kernels equal, bit for bit, the per-element and per-chain loops they
-replaced, which are kept here as the reference. The comparisons with a
-tolerance draw a fixed sequence of examples (derandomize), so their verdict
-does not change from run to run.
+replaced, which are kept here as the reference, and so does dirichlet_gain
+on model's Dirichlet kernel against its earlier guarded formula, wherever that
+formula did not round to 1. The comparisons with a tolerance draw a fixed
+sequence of examples (derandomize), so their verdict does not change from run
+to run.
 """
 
 import math
@@ -198,3 +200,40 @@ def test_designs_match_reference_at_branch_points(m_ttd, n_ps, t_max):
     points += [0.5] * (-len(points) % n_rf)
     for i in range(0, len(points), n_rf):
         assert_designs_match_reference(cfg, points[i:i + n_rf])
+
+
+def reference_dirichlet_gain(n, delta):
+    """dirichlet_gain before it shared model's kernel: 1 wherever |sin delta| < 1e-9."""
+    delta = np.asarray(delta, float)
+    s = np.sin(delta)
+    tiny = np.abs(s) < 1e-9
+    safe = np.where(tiny, 1.0, s)
+    out = np.where(tiny, 1.0, np.abs(np.sin(n * delta) / (n * safe)))
+    return float(out) if out.ndim == 0 else out
+
+
+half_period = st.floats(-np.pi / 2, np.pi / 2, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 1024), deltas=st.lists(
+    st.one_of(half_period, st.floats(-1e-8, 1e-8), st.sampled_from([0.0, -0.0, 1e-9, -1e-9])),
+    min_size=1, max_size=16))
+def test_dirichlet_gain_matches_guarded_reference(n, deltas):
+    deltas = np.array(deltas)
+    got = dp.dirichlet_gain(n, deltas)
+    scalar = dp.dirichlet_gain(n, deltas[0])
+    assert isinstance(scalar, float) and scalar == got[0]
+    kept = np.abs(np.sin(deltas)) >= 1e-9
+    assert got[kept].tobytes() == reference_dirichlet_gain(n, deltas)[kept].tobytes()
+    # where the old guard rounded to 1, the kernel keeps the second-order term
+    small = deltas[~kept]
+    assert np.all(np.abs(got[~kept] - (1 - (n * n - 1) * small * small / 6)) <= 2.3e-16)
+
+
+def test_dirichlet_gain_below_the_old_guard():
+    # |sin delta| = 5e-10 < 1e-9: the old formula returned 1.0
+    n, delta = 1024, 5e-10
+    got = dp.dirichlet_gain(n, delta)
+    assert got < 1.0
+    assert got == pytest.approx(1 - (n * n - 1) * delta**2 / 6, rel=0, abs=2.3e-16)

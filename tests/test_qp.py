@@ -77,6 +77,9 @@ class TestAssembly:
             dp.branch_qp(cfg, 0.5, element=17)
         with pytest.raises(ValueError):
             dp.branch_qp(cfg, 1.5)
+        # NaN used to pass, and solve_kkt then blamed its own case analysis
+        with pytest.raises(ValueError, match=r"\|psi\| <= 1"):
+            dp.branch_qp(cfg, np.nan)
 
 
 class TestKkt:
@@ -229,7 +232,7 @@ class TestObjectiveEquivalence:
         phases = rng.uniform(-0.1, 0.1, (2, 3, 2))
         delays = rng.uniform(0, cfg.t_max, (2, 3))
         design = dp.AnalogDesign(phases=phases, delays=delays)
-        theta = design.normalized_delays(cfg.f_c)
+        theta = 2.0 * cfg.f_c * design.delays
 
         analog = dp.analog_stack(cfg, design)
         frob = 0.0

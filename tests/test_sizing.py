@@ -37,6 +37,11 @@ class TestDivisors:
         with pytest.raises(ValueError):
             dp.divisor_ceiling(13.0, 12)
 
+    def test_divisor_ceiling_rejects_nan(self):
+        # NaN used to fall through every d >= x to a final return n
+        with pytest.raises(ValueError, match="no divisor of 12"):
+            dp.divisor_ceiling(math.nan, 12)
+
 
 class TestTaylorGain:
     def test_zero_offset(self):
@@ -146,6 +151,28 @@ class TestLinearRelaxation:
     def test_diverges_at_unit_threshold(self):
         cfg = sizing_config()
         assert dp.min_ttds_linear(cfg, 1.0, 0.8) == math.inf
+
+
+class TestNanInputsRejected:
+    # NaN compares False both ways, so checks written as x < 0 or x <= 0 let it through
+
+    def test_size_ttds_rejects_nan_direction(self):
+        # it used to return m_star = 720 and m_exact = 1 on the 720-antenna config
+        with pytest.raises(ValueError, match="psi_max must be positive"):
+            dp.size_ttds(sizing_config(), 0.9, math.nan)
+
+    def test_gain_margin_rejects_nan(self):
+        cfg = sizing_config()
+        for g0, psi_max in ((0.9, math.nan), (math.nan, 0.8)):
+            with pytest.raises(ValueError):
+                gain_margin(g0, cfg.bandwidth, cfg.f_c, cfg.n_subcarriers, psi_max)
+
+    def test_linear_relaxation_rejects_nan(self):
+        cfg = sizing_config()
+        with pytest.raises(ValueError, match="psi_max must be non-negative"):
+            dp.min_ttds_linear(cfg, 0.9, math.nan)
+        with pytest.raises(ValueError, match="g0 must be a number"):
+            dp.min_ttds_linear(cfg, math.nan, 0.8)
 
 
 class TestSizingResult:
