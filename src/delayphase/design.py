@@ -26,27 +26,19 @@ from .precoders import AnalogDesign
 
 @dataclass(frozen=True)
 class DesignReport:
-    """Joint design plus per-element saturation flags and sizing criteria.
+    """Joint design plus its per-element saturation flags.
 
     clamped[l, m] is True exactly when |psi_l| exceeded the budget threshold
     4 f_c t_max / ((2m-1)N - 1) and the element delay was pinned at t_max.
+    The selection criteria are separate calls: nt_upper_bound and
+    tmax_lower_bound.
     """
 
     design: AnalogDesign
     clamped: np.ndarray
-    nt_bound: float
-    tmax_bound: float
 
     def __post_init__(self):
         object.__setattr__(self, "clamped", _readonly(np.asarray(self.clamped, bool)))
-
-    def to_dict(self) -> dict:
-        return {
-            "design": self.design.to_dict(),
-            "clamped": self.clamped.tolist(),
-            "nt_bound": None if math.isinf(self.nt_bound) else self.nt_bound,
-            "tmax_bound": self.tmax_bound,
-        }
 
 
 def _directions(cfg: SystemConfig, psi) -> np.ndarray:
@@ -87,15 +79,9 @@ def design_joint(cfg: SystemConfig, psi) -> DesignReport:
     # at |psi| == threshold the product rounds up to one ulp past t_max
     delays = np.where(clamped, cfg.t_max, np.minimum(denom / (4.0 * cfg.f_c) * a, cfg.t_max))
     gamma = ((m[:, None] - 1) * n_ps + n - 1) * a[..., None]
-    phases = np.where(clamped[..., None], 2.0 * cfg.f_c * cfg.t_max - gamma,
+    phases = np.where(clamped[..., None], cfg.theta_max - gamma,
                       (n_ps - 2 * n + 1) / 2.0 * a[..., None])
-    psi_max = float(np.max(a))
-    return DesignReport(
-        design=_mirrored(cfg, psi, phases, delays),
-        clamped=clamped,
-        nt_bound=nt_upper_bound(cfg, psi_max),
-        tmax_bound=tmax_lower_bound(cfg, psi_max),
-    )
+    return DesignReport(design=_mirrored(cfg, psi, phases, delays), clamped=clamped)
 
 
 def design_benchmark(cfg: SystemConfig, psi) -> AnalogDesign:

@@ -111,33 +111,15 @@ class RunResult:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".12g")
-    return str(value)
+    """One table cell: a float to 12 significant digits, anything else as str."""
+    return "%.12g" % value if isinstance(value, float) else str(value)
 
 
-def _numeric(column) -> bool:
-    """A float or integer array, whose cells need neither _fmt's dispatch nor CSV quoting."""
-    return isinstance(column, np.ndarray) and column.dtype.kind in "fiu"
-
-
-def _csv_cells(column) -> list:
-    """The CSV text of one column, cell for cell what _fmt writes."""
-    if not _numeric(column):
-        return [_fmt(v) for v in column]
-    if column.dtype.kind == "f":
-        return ["%.12g" % v for v in column.tolist()]
-    return list(map(str, column.tolist()))
-
-
-def _json_values(column) -> list:
-    """One column as JSON values: floats and ints become Python numbers."""
-    if _numeric(column):
+def _values(column) -> list:
+    """One column as Python values, so numpy numbers format and serialize as Python's."""
+    if isinstance(column, np.ndarray):
         return column.tolist()
-    return [float(v) if isinstance(v, (float, np.floating)) else
-            int(v) if isinstance(v, (int, np.integer)) else v for v in column]
+    return [v.item() if isinstance(v, np.generic) else v for v in column]
 
 
 def _write_json(path: Path, payload) -> Path:
@@ -149,17 +131,20 @@ def _write_json(path: Path, payload) -> Path:
 
 
 def _write_table(path: Path, header, columns, fmt: str) -> Path:
-    """Write a table given column by column, each as long as the table."""
+    """Write a table given column by column, each as long as the table.
+
+    Each column becomes Python values first (_values); JSON writes them as
+    they are, CSV writes the text _fmt gives each one.
+    """
     # append the extension; with_suffix would truncate stems like "t_max=3.2e-10"
     path = path.parent / f"{path.name}.{fmt}"
     if fmt == "json":
         return _write_json(path, {"header": list(header),
-                                  "rows": list(zip(*(_json_values(c) for c in columns)))})
-    cells = [_csv_cells(c) for c in columns]
+                                  "rows": list(zip(*map(_values, columns)))})
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(zip(*cells))
+        writer.writerows(zip(*([_fmt(v) for v in _values(c)] for c in columns)))
     return path
 
 

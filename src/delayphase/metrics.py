@@ -42,7 +42,7 @@ def squint_offset(cfg: SystemConfig, k: int, psi: float) -> float:
 def array_gain(f: np.ndarray, cfg: SystemConfig, k: int, psi: float) -> float:
     """|v_k(psi)^H f| for a unit-norm precoder column f (norm enforced to 1e-9)."""
     f = np.asarray(f)
-    if abs(np.linalg.norm(f) - 1.0) > NORM_TOL:
+    if not abs(np.linalg.norm(f) - 1.0) <= NORM_TOL:  # NaN fails
         raise ValueError("precoder column must have unit 2-norm")
     return float(abs(np.vdot(ula_response(cfg, k, psi), f)))
 
@@ -165,15 +165,14 @@ class GainProfile:
 
 @dataclass(frozen=True)
 class RateProfile:
-    """Per-subcarrier (or pooled) rates with their mean and CDF."""
+    """Mean and CDF of a per-subcarrier (or pooled) rate sample."""
 
-    rates: np.ndarray
     mean_rate: float
     cdf_x: np.ndarray
     cdf_y: np.ndarray
 
     def __post_init__(self):
-        for name in ("rates", "cdf_x", "cdf_y"):
+        for name in ("cdf_x", "cdf_y"):
             object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), float)))
 
 
@@ -196,13 +195,13 @@ def gain_profile(cfg: SystemConfig, columns, psi: float):
     for a in arrays:
         if a.shape != (cfg.n_subcarriers, cfg.n_tx):
             raise ValueError("columns must have shape (K, n_tx)")
-        if np.any(np.abs(np.linalg.norm(a, axis=1) - 1.0) > NORM_TOL):
+        if not (np.abs(np.linalg.norm(a, axis=1) - 1.0) <= NORM_TOL).all():  # NaN fails
             raise ValueError("precoder column must have unit 2-norm")
     steering = steering_stack(cfg.n_tx, freq_ratios(cfg), psi)[:, :, 0]
     profiles = []
     for a in arrays:
         gains = np.array([abs(np.vdot(v, f)) for v, f in zip(steering, a)])
-        if np.any(gains > 1.0 + 1e-12) or np.any(gains < 0.0):
+        if not ((gains >= 0.0) & (gains <= 1.0 + 1e-12)).all():
             raise ValueError("array gain outside [0, 1]")
         xs, cdf = empirical_cdf(gains)
         profiles.append(GainProfile(psi=float(psi), gains=gains, cdf_x=xs, cdf_y=cdf))
@@ -215,4 +214,4 @@ def rate_profile(rates) -> RateProfile:
     if not (rates >= 0).all():
         raise ValueError("rates must be non-negative")
     xs, cdf = empirical_cdf(rates)
-    return RateProfile(rates=rates, mean_rate=float(rates.mean()), cdf_x=xs, cdf_y=cdf)
+    return RateProfile(mean_rate=float(rates.mean()), cdf_x=xs, cdf_y=cdf)

@@ -14,7 +14,6 @@ to form H and then released.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import warnings
@@ -73,7 +72,8 @@ class SystemConfig:
     def __post_init__(self):
         for name in _FLOAT_FIELDS:
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         for name in _COUNT_FIELDS:
             value = getattr(self, name)
@@ -132,11 +132,6 @@ class SystemConfig:
                 raise ValueError("specify either rho or rho_db, not both")
             data["rho"] = 10.0 ** (float(data.pop("rho_db")) / 10.0)
         return cls(**data)
-
-    @classmethod
-    def from_file(cls, path) -> "SystemConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def subcarrier_frequencies(cfg: SystemConfig) -> np.ndarray:
@@ -238,8 +233,10 @@ class PathSet:
         n = len(self.gains)
         if not (len(self.delays) == len(self.aod) == len(self.aoa) == n):
             raise ValueError("all path arrays must have the same length")
-        if np.any(self.delays < 0):
-            raise ValueError("path delays must be non-negative")
+        finite = all(np.isfinite(getattr(self, name)).all()
+                     for name in ("gains", "delays", "aod", "aoa"))
+        if not (finite and (self.delays >= 0).all()):
+            raise ValueError("path gains, delays and angles must be finite, delays >= 0")
 
     @property
     def n_paths(self) -> int:
@@ -309,7 +306,6 @@ class ChannelRealization:
     """One sampled channel: path parameters, materialized per-subcarrier matrices,
     and their receive factor (H_k = A_k V_k^H, see channel_matrices)."""
 
-    cfg: SystemConfig
     paths: PathSet
     h: np.ndarray  # (K, n_rx, n_tx)
     a: np.ndarray  # (K, n_rx, L)
@@ -323,4 +319,4 @@ def sample_channel(cfg: SystemConfig, rng: np.random.Generator) -> ChannelRealiz
     """Sample paths and materialize the channel matrices and their receive factor."""
     paths = sample_paths(cfg, rng)
     a, h = _channel_factors(cfg, paths)
-    return ChannelRealization(cfg=cfg, paths=paths, h=h, a=a)
+    return ChannelRealization(paths=paths, h=h, a=a)

@@ -42,10 +42,6 @@ class AnalogDesign:
         object.__setattr__(self, "phases", _readonly(phases))
         object.__setattr__(self, "delays", _readonly(delays))
 
-    @property
-    def n_rf(self) -> int:
-        return self.phases.shape[0]
-
     def validate(self, cfg: SystemConfig) -> None:
         """Check shapes against cfg, finite phases and delays within [0, t_max] (not NaN)."""
         expect = (cfg.n_rf, cfg.ttds_per_rf, cfg.ps_per_ttd)
@@ -55,14 +51,6 @@ class AnalogDesign:
             raise ValueError("phases must be finite")
         if np.any(~((self.delays >= 0) & (self.delays <= cfg.t_max))):
             raise ValueError("delays must lie within [0, t_max]")
-
-    def to_dict(self) -> dict:
-        return {"phases": self.phases.tolist(), "delays": self.delays.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AnalogDesign":
-        return cls(phases=np.asarray(data["phases"], float),
-                   delays=np.asarray(data["delays"], float))
 
 
 def _ps_phasors(design: AnalogDesign, cfg: SystemConfig) -> np.ndarray:
@@ -148,12 +136,16 @@ def digital_precoder(h_k: np.ndarray, f_k: np.ndarray, n_streams: int) -> np.nda
     (only the Frobenius norm is constrained), taken from the small Gram matrix
     F^H F. Eigenvector phases are fixed for determinism; with a degenerate
     spectrum any orthonormal basis of the dominant eigenspace is a valid result.
+    Raises ValueError for a non-finite H or F.
     """
     hf = h_k @ f_k
-    _, vecs = np.linalg.eigh(_hermitian(hf) @ hf)
+    gram = _hermitian(hf) @ hf
+    if not np.isfinite(gram).all():  # LAPACK would only say it did not converge
+        raise ValueError("channel and analog precoder must be finite")
+    _, vecs = np.linalg.eigh(gram)
     w = fix_phase(vecs[..., ::-1][..., :n_streams])
     power = np.sum((w.conj() * (_hermitian(f_k) @ f_k @ w)).real, axis=(-2, -1))
-    if np.any(power <= 0):
+    if not (power > 0).all():
         raise np.linalg.LinAlgError("analog precoder annihilates every stream")
     return w * np.sqrt(n_streams / power)[..., None, None]
 

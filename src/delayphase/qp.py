@@ -29,29 +29,23 @@ KKT_CHECK_TOL = 1e-9  # largest first-order residual solve_kkt accepts
 
 @dataclass(frozen=True)
 class BranchQP:
-    """Quadratic data for one (chain, element) branch plus provenance.
+    """Quadratic data for one (chain, element) branch.
 
     C is [[I_N, -1], [-1^T, N + eta]] with eta > 0 whenever bandwidth > 0 and
     K > 1; d collects the ideal-phase targets averaged over the subcarrier grid.
+    targets holds those ideal phases gamma_n = ((m-1)N + n - 1) psi, n = 1..N,
+    and theta_max the delay budget 2 f_c t_max, both in units of pi.
     """
 
     C: np.ndarray
     d: np.ndarray
+    targets: np.ndarray
     theta_max: float
     eta: float
-    chain: int
-    element: int
-    psi: float
-    ratios: np.ndarray
 
     @property
     def n_ps(self) -> int:
         return self.d.shape[0] - 1
-
-    @property
-    def gamma(self) -> float:
-        """Corner entry of C: n_ps + eta."""
-        return float(self.C[-1, -1])
 
     def objective(self, a: np.ndarray) -> float:
         a = np.asarray(a, dtype=LONG)
@@ -65,12 +59,6 @@ class BranchQP:
         return inv
 
 
-def phase_targets(branch: BranchQP) -> np.ndarray:
-    """Ideal phase table gamma_n = ((m-1)N + n - 1) * psi for this branch, n = 1..N."""
-    n = np.arange(1, branch.n_ps + 1, dtype=LONG)
-    return ((branch.element - 1) * branch.n_ps + n - 1) * LONG(branch.psi)
-
-
 def branch_eta(cfg: SystemConfig) -> float:
     """Curvature of the delay coordinate: N * (B/f_c)^2 * (K^2 - 1) / (12 K^2)."""
     K = cfg.n_subcarriers
@@ -78,17 +66,16 @@ def branch_eta(cfg: SystemConfig) -> float:
     return cfg.ps_per_ttd * ratio * ratio * (K * K - 1) / (12.0 * K * K)
 
 
-def branch_qp(cfg: SystemConfig, psi: float, chain: int = 1, element: int = 1) -> BranchQP:
+def branch_qp(cfg: SystemConfig, psi: float, element: int = 1) -> BranchQP:
     """Assemble the branch QP for direction psi and delay element ``element`` (1-based).
 
+    Every RF chain with direction psi has the same QP, so no chain is named.
     Raises ValueError for zero bandwidth (or a single subcarrier): eta = 0
     makes C singular, and a narrowband system needs no delay elements at all.
     """
     (psi,) = _directions(psi)
     if not 1 <= element <= cfg.ttds_per_rf:
         raise ValueError("element index outside 1..ttds_per_rf")
-    if not 1 <= chain <= cfg.n_rf:
-        raise ValueError("chain index outside 1..n_rf")
     eta = branch_eta(cfg)
     if eta <= 0.0:
         raise ValueError(
@@ -108,8 +95,7 @@ def branch_qp(cfg: SystemConfig, psi: float, chain: int = 1, element: int = 1) -
     d = np.empty(n + 1, dtype=LONG)
     d[:n] = -gamma * ratios.mean()
     d[n] = (ratios * ratios).mean() * gamma.sum()
-    return BranchQP(C=C, d=d, theta_max=float(2.0 * cfg.f_c * cfg.t_max), eta=float(eta),
-                    chain=int(chain), element=int(element), psi=float(psi), ratios=ratios)
+    return BranchQP(C=C, d=d, targets=gamma, theta_max=float(cfg.theta_max), eta=float(eta))
 
 
 @dataclass(frozen=True)
@@ -192,7 +178,7 @@ def solve_projected(branch: BranchQP, tol: float = 1e-10, max_iter: int = 500_00
         raise ValueError("tol must be positive")
     n = branch.n_ps
     theta_max = LONG(branch.theta_max)
-    lip = LONG(branch.gamma) + n  # Gershgorin bound on lambda_max(C)
+    lip = branch.C[-1, -1] + n  # Gershgorin bound on lambda_max(C)
     if x0 is None:
         a = branch.inverse_closed_form() @ branch.d
     else:

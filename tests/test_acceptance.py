@@ -51,7 +51,7 @@ def test_criterion_1_closed_form_matches_gradient_oracle():
         )
         psi = float(rng.uniform(0.0, 1.0))
         rep = dp.design_joint(cfg, [psi])
-        a = dp.solve_projected(dp.branch_qp(cfg, psi, 1, element))
+        a = dp.solve_projected(dp.branch_qp(cfg, psi, element))
         phase_diff = np.max(np.abs(
             np.asarray(a[:n_ps], float) - rep.design.phases[0, element - 1]))
         delay_diff = abs(float(a[n_ps]) - 2 * cfg.f_c * rep.design.delays[0, element - 1])
@@ -179,7 +179,7 @@ def test_criterion_6_structural_invariants():
             norm2 = np.linalg.norm(pset.analog[k - 1] @ pset.digital[k - 1]) ** 2
             worst_norm = max(worst_norm, abs(norm2 - cfg.n_streams))
 
-    branch = dp.branch_qp(cfg, 0.8, 1, 7)
+    branch = dp.branch_qp(cfg, 0.8, 7)
     inv = branch.inverse_closed_form()
     id_err = float(np.max(np.abs(np.asarray(branch.C @ inv, float) - np.eye(17))))
     corner_err = abs(float(inv[-1, -1]) - 1 / branch.eta) * branch.eta

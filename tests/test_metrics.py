@@ -35,6 +35,11 @@ class TestArrayGain:
         with pytest.raises(ValueError):
             dp.array_gain(np.ones(cfg.n_tx), cfg, 1, 0.0)
 
+    def test_rejects_nan_column(self, cfg):
+        # NaN compares False both ways, so a check written as norm error > tol let it through
+        with pytest.raises(ValueError, match="unit 2-norm"):
+            dp.array_gain(np.full(cfg.n_tx, np.nan + 0j), cfg, 1, 0.8)
+
 
 class TestDirichletGain:
     def test_limit_at_zero_offset(self):
@@ -253,6 +258,13 @@ class TestGainHeadline:
         assert np.all(profile.gains >= 0.0) and np.all(profile.gains <= 1.0 + 1e-12)
         assert np.all(np.diff(profile.cdf_y) >= 0)
         assert profile.cdf_y[-1] == 1.0
+
+    def test_rejects_nan_columns(self, cfg):
+        nan = np.full((cfg.n_subcarriers, cfg.n_tx), np.nan + 0j)
+        ideal = dp.ideal_stack(cfg, [0.8])[:, :, 0]
+        for columns in (nan, (ideal, nan)):
+            with pytest.raises(ValueError, match="unit 2-norm"):
+                dp.gain_profile(cfg, columns, 0.8)
 
 
 class TestWideArrayCollapse:

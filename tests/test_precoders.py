@@ -187,6 +187,14 @@ class TestDigitalPrecoder:
         with pytest.raises(np.linalg.LinAlgError):
             dp.digital_precoder(np.zeros((2, 4)), np.zeros((4, 2)), 2)
 
+    def test_non_finite_input_raises(self, cfg):
+        # NaN used to reach LAPACK, which only said its eigenvalues did not converge
+        f = dp.ideal_precoder(cfg, [0.1, 0.2, 0.3, 0.4], 1)
+        h = np.ones((4, cfg.n_tx))
+        for h_k, f_k in ((h, f * np.nan), (h * np.nan, f)):
+            with pytest.raises(ValueError, match="must be finite"):
+                dp.digital_precoder(h_k, f_k, 4)
+
 
 class TestMaterialize:
     def test_stack_shapes(self):
@@ -199,9 +207,3 @@ class TestMaterialize:
         assert pset.analog.shape == (9, 32, 4)
         assert pset.ideal.shape == (9, 32, 4)
         assert pset.digital.shape == (9, 4, 4)
-
-    def test_analog_design_json_round_trip(self, cfg):
-        design = random_design(cfg, 9)
-        clone = dp.AnalogDesign.from_dict(design.to_dict())
-        assert np.array_equal(clone.phases, design.phases)
-        assert np.array_equal(clone.delays, design.delays)

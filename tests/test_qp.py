@@ -3,7 +3,6 @@ import pytest
 
 import delayphase as dp
 from conftest import make_config
-from delayphase.qp import phase_targets
 
 
 def small_config(**kw):
@@ -25,12 +24,12 @@ def random_branch(rng):
     )
     psi = rng.uniform(0, 1)
     element = int(rng.integers(1, m_ttd + 1))
-    return dp.branch_qp(cfg, psi, 1, element)
+    return dp.branch_qp(cfg, psi, element)
 
 
 class TestAssembly:
     def test_closed_form_inverse(self, cfg):
-        branch = dp.branch_qp(cfg, 0.8, 1, 3)
+        branch = dp.branch_qp(cfg, 0.8, 3)
         prod = np.asarray(branch.C @ branch.inverse_closed_form(), float)
         assert np.max(np.abs(prod - np.eye(17))) < 1e-10
 
@@ -41,12 +40,12 @@ class TestAssembly:
 
     def test_unconstrained_delay_value(self, cfg):
         # e^T C^{-1} d = ((2m-1)N - 1)/2 * psi; N=16, m=1, psi=0.8 -> 6.0
-        branch = dp.branch_qp(cfg, 0.8, 1, 1)
+        branch = dp.branch_qp(cfg, 0.8, 1)
         inv = branch.inverse_closed_form()
         assert float(inv[-1] @ branch.d) == pytest.approx(6.0, abs=1e-10)
 
     def test_zero_direction_zero_linear_term(self, cfg):
-        branch = dp.branch_qp(cfg, 0.0, 1, 5)
+        branch = dp.branch_qp(cfg, 0.0, 5)
         assert np.all(np.asarray(branch.d, float) == 0.0)
 
     def test_quadratic_is_positive_definite(self, cfg):
@@ -85,7 +84,7 @@ class TestAssembly:
 class TestKkt:
     def test_interior_case(self, cfg):
         # theta budget 204 >> 6: box inactive, phases are the symmetric ramp
-        branch = dp.branch_qp(cfg, 0.8, 1, 1)
+        branch = dp.branch_qp(cfg, 0.8, 1)
         sol = dp.solve_kkt(branch)
         assert sol.case == "interior"
         assert sol.lam_upper == 0.0 and sol.lam_lower == 0.0
@@ -96,26 +95,26 @@ class TestKkt:
     def test_upper_active_case(self):
         # m=16, t_max=320ps: budget 192 < required 198, delay pinned at the budget
         cfg = make_config(t_max=320e-12)
-        branch = dp.branch_qp(cfg, 0.8, 1, 16)
+        branch = dp.branch_qp(cfg, 0.8, 16)
         sol = dp.solve_kkt(branch)
         assert sol.case == "upper"
         assert sol.lam_upper > 0
         assert float(sol.a[16]) == pytest.approx(192.0, abs=1e-10)
-        expected = 192.0 - np.asarray(phase_targets(branch), float)
+        expected = 192.0 - np.asarray(branch.targets, float)
         assert np.allclose(np.asarray(sol.a[:16], float), expected, atol=1e-10)
         assert float(sol.a[0]) == pytest.approx(0.0, abs=1e-10)
         assert float(sol.a[15]) == pytest.approx(-12.0, abs=1e-10)
 
     def test_lower_active_case(self):
         cfg = small_config()
-        branch = dp.branch_qp(cfg, -0.6, 1, 3)
+        branch = dp.branch_qp(cfg, -0.6, 3)
         sol = dp.solve_kkt(branch)
         assert sol.case == "lower"
         assert sol.lam_lower > 0
         assert float(sol.a[-1]) == 0.0
 
     def test_zero_direction_all_slack(self, cfg):
-        sol = dp.solve_kkt(dp.branch_qp(cfg, 0.0, 1, 4))
+        sol = dp.solve_kkt(dp.branch_qp(cfg, 0.0, 4))
         assert np.all(np.asarray(sol.a, float) == 0.0)
         assert sol.case == "interior"
 
@@ -159,21 +158,21 @@ class TestProjectedGradient:
 
     def test_zero_budget_pins_delay(self):
         cfg = small_config(t_max=0.0)
-        branch = dp.branch_qp(cfg, 0.7, 1, 2)
+        branch = dp.branch_qp(cfg, 0.7, 2)
         a = dp.solve_projected(branch)
         assert float(a[-1]) == 0.0
 
     def test_cold_start_agrees_on_friendly_instance(self):
         # moderate curvature: plain iteration from zero converges fine
         cfg = small_config(bandwidth=60e9, n_subcarriers=9)
-        branch = dp.branch_qp(cfg, 0.5, 1, 2)
+        branch = dp.branch_qp(cfg, 0.5, 2)
         warm = dp.solve_projected(branch)
         cold = dp.solve_projected(branch, tol=1e-13, x0=np.zeros(branch.n_ps + 1))
         assert np.max(np.abs(np.asarray(warm - cold, float))) < 1e-8
 
     def test_iteration_budget_error(self):
         cfg = small_config()
-        branch = dp.branch_qp(cfg, 0.9, 1, 4)
+        branch = dp.branch_qp(cfg, 0.9, 4)
         far = np.full(branch.n_ps + 1, 50.0)
         with pytest.raises(RuntimeError, match="did not converge"):
             dp.solve_projected(branch, max_iter=1, x0=far)
@@ -213,10 +212,10 @@ class TestObjectiveEquivalence:
         for _ in range(10):
             psi = rng.uniform(-0.3, 0.3)
             element = int(rng.integers(1, 4))
-            branch = dp.branch_qp(cfg, psi, 1, element)
+            branch = dp.branch_qp(cfg, psi, element)
             a = np.concatenate([rng.uniform(-0.5, 0.5, 2), rng.uniform(0, branch.theta_max, 1)])
-            gamma = np.asarray(phase_targets(branch), float)
-            ratios = np.asarray(branch.ratios, float)
+            gamma = np.asarray(branch.targets, float)
+            ratios = dp.freq_ratios(cfg)
             residuals = a[None, :2] - ratios[:, None] * a[2] + ratios[:, None] * gamma[None, :]
             ssq = float(np.mean(np.sum(residuals**2, axis=1)))
             const = float(np.mean(ratios**2) * np.sum(gamma**2))
