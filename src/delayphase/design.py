@@ -1,7 +1,8 @@
 """Closed-form joint delay/phase designs and system-sizing criteria.
 
 ``design_joint`` is the global optimum of the per-branch phase-matching QP
-(see ``qp``): whenever the required delay fits the per-device budget the
+(``tests/qp_oracle.py`` states that QP and solves it branch by branch, as a
+test reference): whenever the required delay fits the per-device budget the
 element delays grow affinely across the array and the phase shifters apply a
 symmetric ramp; once the budget is hit, the delay saturates at t_max and the
 phase shifters absorb the remainder. ``design_benchmark`` reproduces the

@@ -25,8 +25,8 @@ import numpy as np
 # jacobi_eigh is unused here but stays importable under this name: the
 # benchmark's tracer (bench/spans.py) wraps it at every attribute it is bound to.
 from .linalg import _hermitian, jacobi_eigh  # noqa: F401
-from .model import (SystemConfig, _dirichlet, _readonly, freq_ratio, freq_ratios,
-                    steering_stack, ula_response)
+from .model import (SystemConfig, _directions, _dirichlet, _readonly, freq_ratio,
+                    freq_ratios, steering_stack, ula_response)
 
 NORM_TOL = 1e-9  # allowed deviation of a precoder column's 2-norm from 1
 # eigenvalues of H H^H (squared singular values) at or below SV_TOL times the
@@ -36,7 +36,8 @@ SV_TOL = 1e-12
 
 def squint_offset(cfg: SystemConfig, k: int, psi: float) -> float:
     """Phase-slope mismatch (pi/2) * (f_k/f_c - 1) * psi of subcarrier k at direction psi."""
-    return 0.5 * np.pi * (freq_ratio(cfg, k) - 1.0) * psi
+    (psi,) = _directions(psi)
+    return float(0.5 * np.pi * (freq_ratio(cfg, k) - 1.0) * psi)
 
 
 def array_gain(f: np.ndarray, cfg: SystemConfig, k: int, psi: float) -> float:
@@ -69,9 +70,21 @@ def _check_rho(rho) -> None:
         raise ValueError(f"rho must be a finite non-negative number, got {rho!r}")
 
 
+def _check_finite(product: np.ndarray) -> None:
+    """Reject a channel-precoder product with a NaN or infinite entry.
+
+    The small product is checked, not the (n_rx, n_tx) inputs: a non-finite
+    channel or precoder entry makes it non-finite, and LAPACK would otherwise
+    turn it into a NaN rate, or a NaN eigenvalue into a zero bound.
+    """
+    if not np.isfinite(product).all():
+        raise ValueError("channel and precoders must be finite")
+
+
 def _log2det(g: np.ndarray, rho, power):
     """log2 det(I + (rho/power) G G^H) by one batched slogdet; power may vary over G's stack."""
     _check_rho(rho)
+    _check_finite(g)
     scale = np.asarray(rho / power, float)[..., None, None]
     _, logdet = np.linalg.slogdet(np.eye(g.shape[-2]) + scale * (g @ _hermitian(g)))
     return _float_or_array(logdet / np.log(2.0))
@@ -84,7 +97,8 @@ def achievable_rate(h_k: np.ndarray, f_k: np.ndarray, w_k: np.ndarray,
     Takes one subcarrier, h_k (n_rx, n_tx), f_k (n_tx, n_rf) and w_k
     (n_rf, n_streams), and returns a float; stacks with matching leading axes,
     (..., n, m), give an array of rates over those axes. Evaluated by the same
-    batched slogdet kernel as eigenbeam_rate.
+    batched slogdet kernel as eigenbeam_rate. Raises ValueError for a
+    non-finite H, F or W.
     """
     return _log2det(h_k @ f_k @ w_k, rho, n_streams)
 
@@ -98,11 +112,12 @@ def eigenbeam_rate(hf: np.ndarray, f_power, rho: float):
     times the one scale that makes ||F W||_F^2 = n_streams, so this equals
     achievable_rate(h, f, digital_precoder(h, f, n_streams), rho, n_streams)
     without an eigensolve: one batched slogdet. Returns a float for one
-    subcarrier, an array for a stack.
+    subcarrier, an array for a stack. Raises ValueError for a non-finite H F
+    or a power that is not finite and positive.
     """
     f_power = np.asarray(f_power, float)
-    if not (f_power > 0).all():
-        raise ValueError("analog precoder must have positive power")
+    if not ((f_power > 0) & (f_power < np.inf)).all():  # NaN fails
+        raise ValueError("analog precoder must have finite positive power")
     return _log2det(np.asarray(hf), rho, f_power)
 
 
@@ -120,15 +135,20 @@ def rate_lower_bound(h_k: np.ndarray, f_k: np.ndarray, w_k: np.ndarray,
     its bound is zero.
     Never exceeds achievable_rate on the same inputs. Takes one subcarrier and
     returns a float, or stacks with matching leading axes, (..., n, m), and
-    returns an array.
+    returns an array. Raises ValueError for a non-finite H, F or W.
     """
     _check_rho(rho)
     h_k = np.asarray(h_k)
     if h_k.shape[-2] < n_streams:  # fewer receive modes than streams
+        _check_finite(h_k @ f_k @ w_k)
         return _float_or_array(np.zeros(h_k.shape[:-2]))
-    eig, u = np.linalg.eigh(h_k @ _hermitian(h_k))  # ascending: strongest modes last
+    gram = h_k @ _hermitian(h_k)
+    _check_finite(gram)
+    eig, u = np.linalg.eigh(gram)  # ascending: strongest modes last
     kept = np.count_nonzero(eig > SV_TOL * np.maximum(eig[..., -1:], 1e-300), axis=-1)
-    det = np.abs(np.linalg.det(_hermitian(u[..., -n_streams:]) @ h_k @ f_k @ w_k))
+    projected = _hermitian(u[..., -n_streams:]) @ h_k @ f_k @ w_k
+    _check_finite(projected)
+    det = np.abs(np.linalg.det(projected))
     bound = np.log2(1.0 + rho * det ** (2.0 / n_streams))
     return _float_or_array(np.where(kept >= n_streams, bound, 0.0))
 
@@ -137,12 +157,15 @@ def empirical_cdf(values):
     """Empirical CDF of a sample: fraction of entries <= x.
 
     Evaluated at the distinct sample points; returns (x, cdf) arrays with cdf
-    increasing and ending at 1.
+    increasing and ending at 1. Raises ValueError for a NaN or infinite value.
     """
     values = np.asarray(values, float).ravel()
     if values.size == 0:
         raise ValueError("empirical_cdf needs at least one value")
     xs, counts = np.unique(values, return_counts=True)
+    # np.unique sorts -inf first and NaN last, after inf: the two ends decide
+    if not (np.isfinite(xs[0]) and np.isfinite(xs[-1])):
+        raise ValueError("empirical_cdf needs finite values")
     return xs, np.cumsum(counts) / values.size
 
 

@@ -265,7 +265,15 @@ def sample_paths(cfg: SystemConfig, rng: np.random.Generator) -> PathSet:
 
 
 def _channel_factors(cfg: SystemConfig, paths: PathSet) -> tuple:
-    """Receive factor A, shape (K, n_rx, L), and channel H = A_k V_k^H, shape (K, n_rx, n_tx)."""
+    """Receive factor A, shape (K, n_rx, L), and per-subcarrier channel H, shape (K, n_rx, n_tx).
+
+    H_k = sqrt(n_rx*n_tx/L) * sum_l gain_l * exp(-j*2*pi*delay_l*f_k) * u_{k,l} v_{k,l}^H,
+    formed as H_k = A_k V_k^H: the receive factor A_k has columns
+    sqrt(n_rx*n_tx/L) * gain_l * exp(-j*2*pi*delay_l*f_k) * u_{k,l}, shape (n_rx, L),
+    and V_k has the transmit responses v_{k,l} as columns, shape (n_tx, L).
+
+    Deterministic in (cfg, paths): the same inputs reconstruct H bit-exactly.
+    """
     if paths.n_paths != cfg.n_rf:
         raise ValueError("number of paths must equal n_rf")
     L = paths.n_paths
@@ -288,23 +296,10 @@ def _channel_factors(cfg: SystemConfig, paths: PathSet) -> tuple:
     return a, np.conjugate(h, out=h)
 
 
-def channel_matrices(cfg: SystemConfig, paths: PathSet) -> np.ndarray:
-    """Per-subcarrier channel matrices, shape (K, n_rx, n_tx).
-
-    H_k = sqrt(n_rx*n_tx/L) * sum_l gain_l * exp(-j*2*pi*delay_l*f_k) * u_{k,l} v_{k,l}^H,
-    formed as H_k = A_k V_k^H: the receive factor A_k has columns
-    sqrt(n_rx*n_tx/L) * gain_l * exp(-j*2*pi*delay_l*f_k) * u_{k,l}, shape (n_rx, L),
-    and V_k has the transmit responses v_{k,l} as columns, shape (n_tx, L).
-
-    Deterministic in (cfg, paths): the same inputs reconstruct H bit-exactly.
-    """
-    return _channel_factors(cfg, paths)[1]
-
-
 @dataclass(frozen=True)
 class ChannelRealization:
     """One sampled channel: path parameters, materialized per-subcarrier matrices,
-    and their receive factor (H_k = A_k V_k^H, see channel_matrices)."""
+    and their receive factor (H_k = A_k V_k^H, see _channel_factors)."""
 
     paths: PathSet
     h: np.ndarray  # (K, n_rx, n_tx)

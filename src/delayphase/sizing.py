@@ -44,8 +44,11 @@ def taylor_gain(n_tx: int, m: int, delta) -> np.ndarray | float:
     """Second-order gain surrogate q(delta) = 1 + (1/6) (1 - (n_tx/m)^2) delta^2.
 
     Equals 1 identically when every antenna has its own delay element (m = n_tx).
+    Raises ValueError for a NaN or infinite delta.
     """
     delta = np.asarray(delta, float)
+    if not np.isfinite(delta).all():
+        raise ValueError("squint offset delta must be finite")
     q = 1.0 + (1.0 - (n_tx / m) ** 2) / 6.0 * delta * delta
     return float(q) if q.ndim == 0 else q
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemConfig, _directions, freq_ratios
+from delayphase.model import SystemConfig, _directions, freq_ratios
 
 LONG = np.longdouble
 KKT_CHECK_TOL = 1e-9  # largest first-order residual solve_kkt accepts

@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 import delayphase as dp
+import qp_oracle as qp
 from conftest import HEADLINE, make_config
 from delayphase.sizing import worst_subarray_gain
 
@@ -51,7 +52,7 @@ def test_criterion_1_closed_form_matches_gradient_oracle():
         )
         psi = float(rng.uniform(0.0, 1.0))
         rep = dp.design_joint(cfg, [psi])
-        a = dp.solve_projected(dp.branch_qp(cfg, psi, element))
+        a = qp.solve_projected(qp.branch_qp(cfg, psi, element))
         phase_diff = np.max(np.abs(
             np.asarray(a[:n_ps], float) - rep.design.phases[0, element - 1]))
         delay_diff = abs(float(a[n_ps]) - 2 * cfg.f_c * rep.design.delays[0, element - 1])
@@ -179,14 +180,14 @@ def test_criterion_6_structural_invariants():
             norm2 = np.linalg.norm(pset.analog[k - 1] @ pset.digital[k - 1]) ** 2
             worst_norm = max(worst_norm, abs(norm2 - cfg.n_streams))
 
-    branch = dp.branch_qp(cfg, 0.8, 7)
+    branch = qp.branch_qp(cfg, 0.8, 7)
     inv = branch.inverse_closed_form()
     id_err = float(np.max(np.abs(np.asarray(branch.C @ inv, float) - np.eye(17))))
     corner_err = abs(float(inv[-1, -1]) - 1 / branch.eta) * branch.eta
     target = (2 * 7 - 1) * 16 - 1
     lin_err = abs(float(inv[-1] @ branch.d) - target / 2 * 0.8)
     z = dp.freq_ratios(cfg)
-    eta_over_n = dp.branch_eta(cfg) / 16
+    eta_over_n = qp.branch_eta(cfg) / 16
     grid_err = max(abs(z.sum() - 129) / 129,
                    abs((z * z).sum() - 129 * (1 + eta_over_n)) / 129)
 

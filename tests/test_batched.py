@@ -28,7 +28,7 @@ import delayphase as dp
 from conftest import systems
 from delayphase import harness
 from delayphase.linalg import fix_phase, jacobi_eigh
-from delayphase.model import steering_gram, steering_stack
+from delayphase.model import _channel_factors, steering_gram, steering_stack
 
 RTOL = 1e-12
 
@@ -301,7 +301,7 @@ def test_steering_gram_matches_stack_gram(data, cfg):
     assert np.max(np.abs(got - want)) <= 1e-13
 
 
-# the three-operand einsum channel_matrices evaluated before the factored form
+# the three-operand einsum the channel was formed by before the factored form
 def reference_channel(cfg, paths):
     L = paths.n_paths
     freqs = dp.subcarrier_frequencies(cfg)
@@ -325,7 +325,7 @@ def test_channel_matrices_match_einsum_reference(cfg, seed):
     channel = dp.sample_channel(cfg, dp.make_rng(seed))
     want = reference_channel(cfg, channel.paths)
     assert np.max(np.abs(channel.h - want)) <= 1e-14 * np.max(np.abs(want))
-    assert_same_bits(dp.channel_matrices(cfg, channel.paths), channel.h)
+    assert_same_bits(_channel_factors(cfg, channel.paths)[1], channel.h)
     # the receive factor: H_k = A_k V_k^H with V_k the steering table toward psi_tx
     assert channel.a.shape == (cfg.n_subcarriers, cfg.n_rx, cfg.n_rf)
     v = dp.ideal_stack(cfg, channel.paths.psi_tx)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import delayphase as dp
+import qp_oracle as qp
 from conftest import make_config
 
 
@@ -85,7 +86,7 @@ class TestJointDesign:
             psi = float(rng.uniform(0, 1))
             rep = dp.design_joint(cfg, [psi])
             for m in range(1, m_ttd + 1):
-                sol = dp.solve_kkt(dp.branch_qp(cfg, psi, m))
+                sol = qp.solve_kkt(qp.branch_qp(cfg, psi, m))
                 assert np.max(np.abs(np.asarray(sol.a[:n_ps], float)
                                      - rep.design.phases[0, m - 1])) < 1e-8
                 assert float(sol.a[-1]) == pytest.approx(

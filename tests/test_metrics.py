@@ -3,6 +3,7 @@ import pytest
 
 import delayphase as dp
 from conftest import make_config
+from delayphase.model import _channel_factors
 
 
 class TestArrayGain:
@@ -39,6 +40,12 @@ class TestArrayGain:
         # NaN compares False both ways, so a check written as norm error > tol let it through
         with pytest.raises(ValueError, match="unit 2-norm"):
             dp.array_gain(np.full(cfg.n_tx, np.nan + 0j), cfg, 1, 0.8)
+
+    @pytest.mark.parametrize("psi", [np.nan, 1.5])
+    def test_squint_offset_rejects_bad_direction(self, cfg, psi):
+        # a NaN direction used to give a NaN offset
+        with pytest.raises(ValueError, match=r"\|psi\| <= 1"):
+            dp.squint_offset(cfg, 1, psi)
 
 
 class TestDirichletGain:
@@ -132,7 +139,7 @@ class TestRateLowerBound:
         rel_gaps = []
         for n_tx in (64, 256, 1024):
             cfg = make_config(n_tx=n_tx, ps_per_ttd=n_tx // 16)
-            h = dp.channel_matrices(cfg, paths)
+            h = _channel_factors(cfg, paths)[1]
             k = cfg.center_subcarrier
             f = dp.ideal_precoder(cfg, paths.psi_tx, k)
             w = dp.digital_precoder(h[k - 1], f, cfg.n_streams)
@@ -203,11 +210,32 @@ class TestRateInputsRejected:
             with pytest.raises(ValueError, match="rho must be a finite non-negative number"):
                 dp.eigenbeam_rate(np.stack([i2, i2]), f_power, rho)
 
-    @pytest.mark.parametrize("f_power", [np.nan, 0.0, -1.0, [2.0, np.nan]])
+    @pytest.mark.parametrize("f_power", [np.nan, 0.0, -1.0, [2.0, np.nan], np.inf])
     def test_bad_f_power(self, f_power):
         i2 = np.eye(2, dtype=complex)
         with pytest.raises(ValueError, match="positive power"):
             dp.eigenbeam_rate(np.stack([i2, i2]), f_power, 2.0)
+
+    @pytest.mark.parametrize("rate", ["achievable_rate", "rate_lower_bound",
+                                      "rate_lower_bound_one_rx", "eigenbeam_rate"])
+    @pytest.mark.parametrize("operand", ["h", "f", "w"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_channel_or_precoder(self, rate, operand, bad):
+        # a NaN channel used to give a NaN rate and a zero bound, which reads
+        # as a rank-deficient channel. The only warning allowed is numpy's own
+        # for inf * 0 in the products, which come before any check can run.
+        ops = {name: np.eye(2, dtype=complex) for name in ("h", "f", "w")}
+        ops[operand][0, 0] = bad
+        h, f, w = ops["h"], ops["f"], ops["w"]
+        call = {"achievable_rate": lambda: dp.achievable_rate(h, f, w, 2.0, 2),
+                "rate_lower_bound": lambda: dp.rate_lower_bound(h, f, w, 2.0, 2),
+                # fewer receive modes than streams: the bound is 0 without an eigensolve
+                "rate_lower_bound_one_rx": lambda: dp.rate_lower_bound(h[:1], f, w, 2.0, 2),
+                "eigenbeam_rate": lambda: dp.eigenbeam_rate(h @ f @ w, 2.0, 2.0)}[rate]
+        with pytest.raises(ValueError, match="channel and precoders must be finite"):
+            call()
 
     @pytest.mark.parametrize("rates", [[1.0, np.nan], [1.0, -0.5]])
     def test_bad_rates(self, rates):
@@ -234,6 +262,12 @@ class TestEmpiricalCdf:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             dp.empirical_cdf([])
+
+    @pytest.mark.parametrize("values", [[1.0, np.nan], [np.nan], [1.0, np.inf], [-np.inf, 1.0]])
+    def test_non_finite_input_rejected(self, values):
+        # [1.0, nan] used to give a CDF whose last x was nan
+        with pytest.raises(ValueError, match="empirical_cdf needs finite values"):
+            dp.empirical_cdf(values)
 
 
 class TestGainHeadline:

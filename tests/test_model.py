@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import delayphase as dp
 from conftest import make_config
-from delayphase.model import steering_gram, steering_stack
+from delayphase.model import _channel_factors, steering_gram, steering_stack
 
 
 class TestSystemConfig:
@@ -147,7 +147,7 @@ class TestChannel:
         psi = 0.37
         paths = dp.PathSet(gains=[1.0 + 0j], delays=[0.0],
                            aod=[np.arcsin(psi)], aoa=[0.0])
-        h = dp.channel_matrices(cfg, paths)
+        h = _channel_factors(cfg, paths)[1]
         for k in (1, 5, 9):
             u = steering_stack(cfg.n_rx, dp.freq_ratio(cfg, k), 0.0)[0, :, 0]
             v = steering_stack(cfg.n_tx, dp.freq_ratio(cfg, k), psi)[0, :, 0]
@@ -160,7 +160,7 @@ class TestChannel:
         cfg = _single_path_config()
         paths = dp.PathSet(gains=[np.exp(0.7j)], delays=[3e-9],
                            aod=[0.4], aoa=[-0.2])
-        h = dp.channel_matrices(cfg, paths)
+        h = _channel_factors(cfg, paths)[1]
         energies = np.sum(np.abs(h) ** 2, axis=(1, 2))
         assert np.allclose(energies, cfg.n_rx * cfg.n_tx, rtol=1e-12)
 
@@ -177,13 +177,13 @@ class TestChannel:
 
     def test_reconstruction_is_exact(self, cfg):
         ch = dp.sample_channel(cfg, dp.make_rng(cfg.seed))
-        rebuilt = dp.channel_matrices(cfg, ch.paths)
+        rebuilt = _channel_factors(cfg, ch.paths)[1]
         assert np.array_equal(rebuilt, ch.h)
 
     def test_path_count_must_match_chains(self, cfg):
         paths = dp.PathSet(gains=[1.0], delays=[0.0], aod=[0.1], aoa=[0.1])
         with pytest.raises(ValueError):
-            dp.channel_matrices(cfg, paths)
+            _channel_factors(cfg, paths)
 
     @pytest.mark.parametrize("field, bad", [
         ("delays", np.nan), ("delays", np.inf), ("delays", -1e-9),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import delayphase as dp
+import qp_oracle as qp
 from conftest import make_config
 
 
@@ -24,38 +25,38 @@ def random_branch(rng):
     )
     psi = rng.uniform(0, 1)
     element = int(rng.integers(1, m_ttd + 1))
-    return dp.branch_qp(cfg, psi, element)
+    return qp.branch_qp(cfg, psi, element)
 
 
 class TestAssembly:
     def test_closed_form_inverse(self, cfg):
-        branch = dp.branch_qp(cfg, 0.8, 3)
+        branch = qp.branch_qp(cfg, 0.8, 3)
         prod = np.asarray(branch.C @ branch.inverse_closed_form(), float)
         assert np.max(np.abs(prod - np.eye(17))) < 1e-10
 
     def test_delay_coordinate_of_inverse(self, cfg):
-        branch = dp.branch_qp(cfg, 0.8)
+        branch = qp.branch_qp(cfg, 0.8)
         inv = branch.inverse_closed_form()
         assert float(inv[-1, -1]) == pytest.approx(1 / branch.eta, rel=1e-12)
 
     def test_unconstrained_delay_value(self, cfg):
         # e^T C^{-1} d = ((2m-1)N - 1)/2 * psi; N=16, m=1, psi=0.8 -> 6.0
-        branch = dp.branch_qp(cfg, 0.8, 1)
+        branch = qp.branch_qp(cfg, 0.8, 1)
         inv = branch.inverse_closed_form()
         assert float(inv[-1] @ branch.d) == pytest.approx(6.0, abs=1e-10)
 
     def test_zero_direction_zero_linear_term(self, cfg):
-        branch = dp.branch_qp(cfg, 0.0, 5)
+        branch = qp.branch_qp(cfg, 0.0, 5)
         assert np.all(np.asarray(branch.d, float) == 0.0)
 
     def test_quadratic_is_positive_definite(self, cfg):
-        branch = dp.branch_qp(cfg, 0.8)
+        branch = qp.branch_qp(cfg, 0.8)
         c = np.asarray(branch.C, float)
         assert np.allclose(c, c.T)
         assert np.min(np.linalg.eigvalsh(c)) > 0
 
     def test_curvature_positive_and_matches_formula(self, cfg):
-        eta = dp.branch_eta(cfg)
+        eta = qp.branch_eta(cfg)
         K = cfg.n_subcarriers
         expected = 16 * 0.01 * (K * K - 1) / (12 * K * K)
         assert eta == pytest.approx(expected, rel=1e-12)
@@ -64,28 +65,28 @@ class TestAssembly:
     def test_zero_bandwidth_rejected(self):
         cfg = small_config(bandwidth=0.0)
         with pytest.raises(ValueError):
-            dp.branch_qp(cfg, 0.5)
+            qp.branch_qp(cfg, 0.5)
 
     def test_single_subcarrier_rejected(self):
         cfg = small_config(n_subcarriers=1)
         with pytest.raises(ValueError):
-            dp.branch_qp(cfg, 0.5)
+            qp.branch_qp(cfg, 0.5)
 
     def test_index_validation(self, cfg):
         with pytest.raises(ValueError):
-            dp.branch_qp(cfg, 0.5, element=17)
+            qp.branch_qp(cfg, 0.5, element=17)
         with pytest.raises(ValueError):
-            dp.branch_qp(cfg, 1.5)
+            qp.branch_qp(cfg, 1.5)
         # NaN used to pass, and solve_kkt then blamed its own case analysis
         with pytest.raises(ValueError, match=r"\|psi\| <= 1"):
-            dp.branch_qp(cfg, np.nan)
+            qp.branch_qp(cfg, np.nan)
 
 
 class TestKkt:
     def test_interior_case(self, cfg):
         # theta budget 204 >> 6: box inactive, phases are the symmetric ramp
-        branch = dp.branch_qp(cfg, 0.8, 1)
-        sol = dp.solve_kkt(branch)
+        branch = qp.branch_qp(cfg, 0.8, 1)
+        sol = qp.solve_kkt(branch)
         assert sol.case == "interior"
         assert sol.lam_upper == 0.0 and sol.lam_lower == 0.0
         n = np.arange(1, 17)
@@ -95,8 +96,8 @@ class TestKkt:
     def test_upper_active_case(self):
         # m=16, t_max=320ps: budget 192 < required 198, delay pinned at the budget
         cfg = make_config(t_max=320e-12)
-        branch = dp.branch_qp(cfg, 0.8, 16)
-        sol = dp.solve_kkt(branch)
+        branch = qp.branch_qp(cfg, 0.8, 16)
+        sol = qp.solve_kkt(branch)
         assert sol.case == "upper"
         assert sol.lam_upper > 0
         assert float(sol.a[16]) == pytest.approx(192.0, abs=1e-10)
@@ -107,14 +108,14 @@ class TestKkt:
 
     def test_lower_active_case(self):
         cfg = small_config()
-        branch = dp.branch_qp(cfg, -0.6, 3)
-        sol = dp.solve_kkt(branch)
+        branch = qp.branch_qp(cfg, -0.6, 3)
+        sol = qp.solve_kkt(branch)
         assert sol.case == "lower"
         assert sol.lam_lower > 0
         assert float(sol.a[-1]) == 0.0
 
     def test_zero_direction_all_slack(self, cfg):
-        sol = dp.solve_kkt(dp.branch_qp(cfg, 0.0, 4))
+        sol = qp.solve_kkt(qp.branch_qp(cfg, 0.0, 4))
         assert np.all(np.asarray(sol.a, float) == 0.0)
         assert sol.case == "interior"
 
@@ -122,7 +123,7 @@ class TestKkt:
         rng = np.random.default_rng(77)
         for _ in range(60):
             branch = random_branch(rng)
-            sol = dp.solve_kkt(branch)
+            sol = qp.solve_kkt(branch)
             e = np.zeros(branch.n_ps + 1)
             e[-1] = 1.0
             stat = 2 * (np.asarray(branch.C @ sol.a - branch.d, float)) \
@@ -139,15 +140,15 @@ class TestProjectedGradient:
         rng = np.random.default_rng(13)
         for _ in range(100):
             branch = random_branch(rng)
-            kkt = dp.solve_kkt(branch)
-            pgd = dp.solve_projected(branch)
+            kkt = qp.solve_kkt(branch)
+            pgd = qp.solve_projected(branch)
             assert np.max(np.abs(np.asarray(pgd - kkt.a, float))) < 1e-8
 
     def test_objective_dominates_reference_points(self):
         rng = np.random.default_rng(29)
         for _ in range(20):
             branch = random_branch(rng)
-            a = dp.solve_projected(branch)
+            a = qp.solve_projected(branch)
             best = branch.objective(a)
             zero = np.zeros(branch.n_ps + 1)
             assert best <= branch.objective(zero) + 1e-9
@@ -158,28 +159,28 @@ class TestProjectedGradient:
 
     def test_zero_budget_pins_delay(self):
         cfg = small_config(t_max=0.0)
-        branch = dp.branch_qp(cfg, 0.7, 2)
-        a = dp.solve_projected(branch)
+        branch = qp.branch_qp(cfg, 0.7, 2)
+        a = qp.solve_projected(branch)
         assert float(a[-1]) == 0.0
 
     def test_cold_start_agrees_on_friendly_instance(self):
         # moderate curvature: plain iteration from zero converges fine
         cfg = small_config(bandwidth=60e9, n_subcarriers=9)
-        branch = dp.branch_qp(cfg, 0.5, 2)
-        warm = dp.solve_projected(branch)
-        cold = dp.solve_projected(branch, tol=1e-13, x0=np.zeros(branch.n_ps + 1))
+        branch = qp.branch_qp(cfg, 0.5, 2)
+        warm = qp.solve_projected(branch)
+        cold = qp.solve_projected(branch, tol=1e-13, x0=np.zeros(branch.n_ps + 1))
         assert np.max(np.abs(np.asarray(warm - cold, float))) < 1e-8
 
     def test_iteration_budget_error(self):
         cfg = small_config()
-        branch = dp.branch_qp(cfg, 0.9, 4)
+        branch = qp.branch_qp(cfg, 0.9, 4)
         far = np.full(branch.n_ps + 1, 50.0)
         with pytest.raises(RuntimeError, match="did not converge"):
-            dp.solve_projected(branch, max_iter=1, x0=far)
+            qp.solve_projected(branch, max_iter=1, x0=far)
 
     def test_invalid_tolerance(self, cfg):
         with pytest.raises(ValueError):
-            dp.solve_projected(dp.branch_qp(cfg, 0.1), tol=0.0)
+            qp.solve_projected(qp.branch_qp(cfg, 0.1), tol=0.0)
 
 
 class TestPhaseDistance:
@@ -212,7 +213,7 @@ class TestObjectiveEquivalence:
         for _ in range(10):
             psi = rng.uniform(-0.3, 0.3)
             element = int(rng.integers(1, 4))
-            branch = dp.branch_qp(cfg, psi, element)
+            branch = qp.branch_qp(cfg, psi, element)
             a = np.concatenate([rng.uniform(-0.5, 0.5, 2), rng.uniform(0, branch.theta_max, 1)])
             gamma = np.asarray(branch.targets, float)
             ratios = dp.freq_ratios(cfg)

@@ -174,6 +174,12 @@ class TestNanInputsRejected:
         with pytest.raises(ValueError, match="g0 must be a number"):
             dp.min_ttds_linear(cfg, math.nan, 0.8)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, [0.1, -math.inf]])
+    def test_taylor_gain_rejects_non_finite_offset(self, delta):
+        # it used to return nan, or -inf for an infinite offset
+        with pytest.raises(ValueError, match="delta must be finite"):
+            dp.taylor_gain(256, 16, delta)
+
 
 class TestSizingResult:
     def test_bundle_and_serialization(self):
