@@ -14,8 +14,7 @@ from .metrics import (GainProfile, RateProfile, achievable_rate, array_gain,
                       dirichlet_gain, eigenbeam_rate, empirical_cdf, gain_profile,
                       rate_lower_bound, rate_profile, squint_offset)
 from .model import (ChannelRealization, PathSet, SystemConfig, freq_ratio, freq_ratios,
-                    make_rng, sample_channel, sample_paths, subcarrier_frequencies,
-                    ula_response)
+                    make_rng, sample_channel, sample_paths, subcarrier_frequencies)
 from .precoders import (AnalogDesign, PrecoderSet, analog_stack, digital_precoder,
                         ideal_precoder, ideal_stack, materialize)
 from .sizing import (SizingResult, divisor_ceiling, divisors, min_ttds, min_ttds_linear,
@@ -34,7 +33,7 @@ __all__ = [
     "squint_offset",
     # model
     "ChannelRealization", "PathSet", "SystemConfig", "freq_ratio", "freq_ratios", "make_rng",
-    "sample_channel", "sample_paths", "subcarrier_frequencies", "ula_response",
+    "sample_channel", "sample_paths", "subcarrier_frequencies",
     # precoders
     "AnalogDesign", "PrecoderSet", "analog_stack", "digital_precoder", "ideal_precoder",
     "ideal_stack", "materialize",

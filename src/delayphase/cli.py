@@ -41,6 +41,3 @@ def main(argv=None) -> int:
     print(result.out_dir / "manifest.json")
     return 0
 
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -31,14 +31,7 @@ import numpy as np
 from . import design as design_mod
 from . import metrics, precoders, sizing
 from .model import (SystemConfig, freq_ratios, make_rng, sample_channel, steering_gram,
-                    subcarrier_frequencies, ula_response)
-
-try:  # version string for the manifest
-    from importlib.metadata import version as _pkg_version
-
-    VERSION = _pkg_version("delayphase")
-except Exception:  # pragma: no cover - not installed
-    VERSION = "0+unknown"
+                    subcarrier_frequencies)
 
 DESIGN_NAMES = ("proposed", "benchmark", "ideal")
 PROP1_SWEEP = [("n_tx", [128, 256, 512, 1024])]  # prop1_sweep's points when none are given
@@ -263,11 +256,12 @@ def _sizing_tables(scenario: Scenario, seed, threads):
 
 
 def _prop1_tables(scenario: Scenario, seed, threads):
+    psi = scenario.psi_eval
     rows = []
     for _, value, cfg in _sweep_points(scenario):
-        flat = ula_response(cfg, cfg.center_subcarrier, scenario.psi_eval)
-        edge = metrics.array_gain(flat, cfg, cfg.n_subcarriers, scenario.psi_eval)
-        center = metrics.array_gain(flat, cfg, cfg.center_subcarrier, scenario.psi_eval)
+        flat = precoders.ideal_precoder(cfg, [psi], cfg.center_subcarrier)[:, 0]
+        edge = metrics.array_gain(flat, cfg, cfg.n_subcarriers, psi)
+        center = metrics.array_gain(flat, cfg, cfg.center_subcarrier, psi)
         rows.append((int(value), edge, center))
     rows.sort(key=lambda r: r[0])
     yield "prop1_sweep", ("n_tx", "gain_edge", "gain_center"), list(zip(*rows))
@@ -296,10 +290,13 @@ EXPERIMENTS = tuple(_EXPERIMENTS)
 def run(scenario: Scenario, seed: int | None = None, out_dir=None,
         threads: int = 1, fmt: str = "csv") -> RunResult:
     """Execute a scenario; returns the output files and the manifest dict."""
+    from . import __version__
     if fmt not in ("csv", "json"):
         raise ValueError("format must be csv or json")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    if isinstance(threads, bool) or not isinstance(threads, numbers.Integral) or threads < 1:
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)):
+        raise ValueError(f"seed must be an integer or None, got {seed!r}")
     scenario.validate()
     seed = scenario.config.seed if seed is None else int(seed)
     out = Path(out_dir if out_dir is not None else scenario.out_dir)
@@ -322,7 +319,7 @@ def run(scenario: Scenario, seed: int | None = None, out_dir=None,
         "seed": seed,
         "threads": threads,
         "format": fmt,
-        "version": VERSION,
+        "version": __version__,
         "started_utc": started,
         "elapsed_s": time.perf_counter() - t0,
         "files": sorted(p.name for p in files),

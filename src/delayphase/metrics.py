@@ -26,7 +26,7 @@ import numpy as np
 # benchmark's tracer (bench/spans.py) wraps it at every attribute it is bound to.
 from .linalg import _hermitian, jacobi_eigh  # noqa: F401
 from .model import (SystemConfig, _directions, _dirichlet, _readonly, freq_ratio,
-                    freq_ratios, steering_stack, ula_response)
+                    freq_ratios, steering_stack)
 
 NORM_TOL = 1e-9  # allowed deviation of a precoder column's 2-norm from 1
 # eigenvalues of H H^H (squared singular values) at or below SV_TOL times the
@@ -45,17 +45,18 @@ def array_gain(f: np.ndarray, cfg: SystemConfig, k: int, psi: float) -> float:
     f = np.asarray(f)
     if not abs(np.linalg.norm(f) - 1.0) <= NORM_TOL:  # NaN fails
         raise ValueError("precoder column must have unit 2-norm")
-    return float(abs(np.vdot(ula_response(cfg, k, psi), f)))
+    return float(abs(np.vdot(steering_stack(cfg.n_tx, freq_ratio(cfg, k), psi)[0, :, 0], f)))
 
 
-def dirichlet_gain(n: int, delta) -> np.ndarray | float:
+def dirichlet_gain(n, delta) -> np.ndarray | float:
     """|sin(n*delta) / (n*sin(delta))|, the gain envelope of an n-element subarray.
 
     The magnitude of model.steering_gram's Dirichlet kernel: delta is reduced
     to [-pi/2, pi/2], and only the exact zeros of sin(delta) take the limit 1,
-    so a tiny nonzero delta keeps its 1 - (n^2 - 1) delta^2 / 6.
+    so a tiny nonzero delta keeps its 1 - (n^2 - 1) delta^2 / 6. n is an
+    integer or an integer array that broadcasts against delta.
     """
-    if n < 1:
+    if not (np.asarray(n) >= 1).all():
         raise ValueError("subarray size must be >= 1")
     return _float_or_array(np.abs(_dirichlet(n, np.asarray(delta, float))[1]))
 
@@ -171,9 +172,8 @@ def empirical_cdf(values):
 
 @dataclass(frozen=True)
 class GainProfile:
-    """Per-subcarrier array gains g[k] in [0, 1] at one direction, with their CDF."""
+    """Per-subcarrier array gains g[k] in [0, 1] at one direction and their CDF, read-only."""
 
-    psi: float
     gains: np.ndarray
     cdf_x: np.ndarray
     cdf_y: np.ndarray
@@ -181,9 +181,6 @@ class GainProfile:
     def __post_init__(self):
         for name in ("gains", "cdf_x", "cdf_y"):
             object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), float)))
-
-    def fraction_at_least(self, threshold: float) -> float:
-        return float(np.mean(self.gains >= threshold))
 
 
 @dataclass(frozen=True)
@@ -227,7 +224,7 @@ def gain_profile(cfg: SystemConfig, columns, psi: float):
         if not ((gains >= 0.0) & (gains <= 1.0 + 1e-12)).all():
             raise ValueError("array gain outside [0, 1]")
         xs, cdf = empirical_cdf(gains)
-        profiles.append(GainProfile(psi=float(psi), gains=gains, cdf_x=xs, cdf_y=cdf))
+        profiles.append(GainProfile(gains=gains, cdf_x=xs, cdf_y=cdf))
     return tuple(profiles) if several else profiles[0]
 
 

@@ -206,11 +206,6 @@ def steering_gram(n_elements: int, ratios, psi) -> np.ndarray:
     return np.exp((1j * (n_elements - 1)) * x) * kernel
 
 
-def ula_response(cfg: SystemConfig, k: int, psi: float) -> np.ndarray:
-    """Transmit-array response vector at subcarrier k toward direction psi (|psi| <= 1)."""
-    return steering_stack(cfg.n_tx, freq_ratio(cfg, k), psi)[0, :, 0]
-
-
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a)
     a.setflags(write=False)

@@ -2,19 +2,19 @@
 
 Two routes to the same question: a closed form built on a second-order
 approximation of the subarray gain (conservative for small squint offsets),
-and an exact greedy search over the divisors of the antenna count, which
-``size_ttds`` runs on its per-divisor gain trace. Both round up to a divisor
-of n_tx so the array splits into equal subarrays.
+and an exact greedy search over the divisors of the antenna count, on a gain
+trace that ``size_ttds`` builds for all divisors in one broadcast. Both round
+up to a divisor of n_tx so the array splits into equal subarrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .metrics import dirichlet_gain
+from .metrics import _float_or_array, dirichlet_gain
 from .model import SystemConfig, freq_ratios
 
 
@@ -50,24 +50,26 @@ def taylor_gain(n_tx: int, m: int, delta) -> np.ndarray | float:
     if not np.isfinite(delta).all():
         raise ValueError("squint offset delta must be finite")
     q = 1.0 + (1.0 - (n_tx / m) ** 2) / 6.0 * delta * delta
-    return float(q) if q.ndim == 0 else q
+    return _float_or_array(q)
 
 
 def gain_margin(g0: float, bandwidth: float, f_c: float, n_subcarriers: int,
                 psi_max: float) -> float:
     """Gain headroom constant: 6 (1 - g0) / ((pi/2) (B/f_c) (K-1)/(2K))^2 / psi_max^2.
 
-    Infinite without squint (a single subcarrier or zero bandwidth), where one
-    delay element per RF chain already meets any g0.
+    Infinite without squint (a single subcarrier or zero bandwidth), and where
+    the squint term underflows to zero (a subnormal psi_max): there one delay
+    element per RF chain already meets any g0.
     """
     if not 0 < g0 < 1:
         raise ValueError("g0 must lie strictly between 0 and 1")
-    if not psi_max > 0:
-        raise ValueError("psi_max must be positive")
+    if not 0 < psi_max < math.inf:
+        raise ValueError("psi_max must be positive and finite")
     edge = (np.pi / 2.0) * (bandwidth / f_c) * (n_subcarriers - 1) / (2.0 * n_subcarriers)
-    if edge == 0:
+    squint = edge * edge * psi_max * psi_max
+    if squint == 0:
         return math.inf
-    return 6.0 * (1.0 - g0) / (edge * edge * psi_max * psi_max)
+    return 6.0 * (1.0 - g0) / squint
 
 
 def min_ttds(cfg: SystemConfig, g0: float, psi_max: float) -> int:
@@ -77,12 +79,6 @@ def min_ttds(cfg: SystemConfig, g0: float, psi_max: float) -> int:
     """
     omega = gain_margin(g0, cfg.bandwidth, cfg.f_c, cfg.n_subcarriers, psi_max)
     return divisor_ceiling(math.sqrt(cfg.n_tx**2 / (1.0 + omega)), cfg.n_tx)
-
-
-def worst_subarray_gain(cfg: SystemConfig, m: int, psi: float) -> float:
-    """Minimum over subcarriers of the (n_tx/m)-element subarray gain at direction psi."""
-    deltas = 0.5 * np.pi * (freq_ratios(cfg) - 1.0)
-    return min(1.0, float(np.min(dirichlet_gain(cfg.n_tx // m, deltas * psi))))
 
 
 def min_ttds_linear(cfg: SystemConfig, g0: float, psi_max: float) -> float:
@@ -122,27 +118,25 @@ class SizingResult:
     power_mw: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "m_star": self.m_star,
-            "omega": self.omega,
-            "m_exact": self.m_exact,
-            "g0": self.g0,
-            "psi_max": self.psi_max,
-            "worst_gain_by_divisor": {str(k): v for k, v in self.worst_gain_by_divisor.items()},
-            "power_mw": self.power_mw,
-        }
+        # string keys, so that a key-sorted writer orders them as text, not as numbers
+        return asdict(self) | {"worst_gain_by_divisor": {
+            str(k): v for k, v in self.worst_gain_by_divisor.items()}}
 
 
 def size_ttds(cfg: SystemConfig, g0: float, psi_max: float) -> SizingResult:
     """Run both sizing routes and collect the per-divisor gain trace for audit.
 
-    ``m_exact`` is the greedy oracle: the smallest divisor m of n_tx whose
-    worst-subcarrier gain in the trace is >= g0.
+    The trace maps each divisor m of n_tx to the worst-subcarrier gain of an
+    (n_tx/m)-element subarray toward psi_max, capped at 1. ``m_exact`` is the
+    greedy oracle: the smallest divisor whose trace entry is >= g0.
     """
     omega = gain_margin(g0, cfg.bandwidth, cfg.f_c, cfg.n_subcarriers, psi_max)
     m_star = min_ttds(cfg, g0, psi_max)
-    trace = {m: worst_subarray_gain(cfg, m, psi_max) for m in divisors(cfg.n_tx)}
-    m_exact = min(m for m, worst in trace.items() if worst >= g0)
+    m = np.array(divisors(cfg.n_tx))
+    deltas = 0.5 * np.pi * (freq_ratios(cfg) - 1.0)
+    gains = dirichlet_gain(cfg.n_tx // m[:, None], deltas * psi_max)
+    trace = dict(zip(m.tolist(), np.minimum(1.0, gains.min(axis=1)).tolist()))
+    m_exact = min(d for d, worst in trace.items() if worst >= g0)
     return SizingResult(
         m_star=m_star,
         omega=omega,

@@ -12,7 +12,6 @@ import numpy as np
 import delayphase as dp
 import qp_oracle as qp
 from conftest import HEADLINE, make_config
-from delayphase.sizing import worst_subarray_gain
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -68,7 +67,7 @@ def test_criterion_2_sizing_reproduction():
     every subcarrier; 48 misses it on 18% +/- 2% of subcarriers."""
     cfg = make_config(n_tx=720, ttds_per_rf=16, ps_per_ttd=45, t_max=1000e-12)
     m_star = dp.min_ttds(cfg, 0.9, 0.8)
-    worst60 = worst_subarray_gain(cfg, 60, 0.8)
+    worst60 = dp.size_ttds(cfg, 0.9, 0.8).worst_gain_by_divisor[60]
     deltas = np.array([dp.squint_offset(cfg, k, 0.8)
                        for k in range(1, cfg.n_subcarriers + 1)])
     frac48 = float(np.mean(dp.dirichlet_gain(720 // 48, deltas) < 0.9))
@@ -107,7 +106,7 @@ def test_criterion_4_wide_array_gain_collapse():
     edges, centers = [], []
     for n_tx in (128, 256, 512, 1024):
         cfg = make_config(n_tx=n_tx, ps_per_ttd=n_tx // 16)
-        flat = dp.ula_response(cfg, cfg.center_subcarrier, 0.8)
+        flat = dp.ideal_precoder(cfg, [0.8], cfg.center_subcarrier)[:, 0]
         edges.append(dp.array_gain(flat, cfg, 129, 0.8))
         centers.append(dp.array_gain(flat, cfg, cfg.center_subcarrier, 0.8))
     decreasing = all(a > b for a, b in zip(edges, edges[1:]))

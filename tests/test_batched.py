@@ -3,14 +3,15 @@
 The analog and ideal stacks must equal their per-subcarrier builders, and
 gain_profile a loop of array_gain over the subcarriers, bit for bit; so must
 the gain tables' one-chain columns equal the full stack's first column, the
-tuple form of gain_profile one call per array, and the column-wise table
-writer the row-wise csv.writer and json output it replaced. The
-batched rate path must agree to 1e-12 relative with a loop over k of the
-eigenvalue formulas it replaced, which run on the cyclic-Jacobi solver, with
-the bound never above the rate, and so must eigenbeam_rate with the rate of
-digital_precoder's W. The closed-form
-steering Gram matrix must match S^H S of the steering stack to 1e-13, and the
-factored channel the three-operand einsum it replaced to 1e-14 of max |H|.
+tuple form of gain_profile one call per array, the sizing trace's one
+Dirichlet-kernel broadcast over (divisor, subcarrier) the loop over divisors
+it replaced, and the column-wise table writer the row-wise csv.writer and json
+output it replaced. The batched rate path must agree to 1e-12 relative with a
+loop over k of the eigenvalue formulas it replaced, which run on the
+cyclic-Jacobi solver, with the bound never above the rate, and so must
+eigenbeam_rate with the rate of digital_precoder's W. The closed-form steering
+Gram matrix must match S^H S of the steering stack to 1e-13, and the factored
+channel the three-operand einsum it replaced to 1e-14 of max |H|.
 The numerical comparisons draw a fixed sequence of examples (derandomize), so
 the suite's verdict does not change from run to run.
 """
@@ -169,9 +170,27 @@ def test_gain_profile_tuple_matches_one_call_per_array(cfg, psi, seed):
     assert_same_bits(dp.gain_profile(cfg, arrays[-1].tolist(), psi).gains, profiles[-1].gains)
     for got, columns in zip(profiles, arrays):
         want = dp.gain_profile(cfg, columns, psi)
-        assert got.psi == want.psi
         for name in ("gains", "cdf_x", "cdf_y"):
             assert_same_bits(getattr(got, name), getattr(want, name))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=systems(), psi=st.floats(0, 1, exclude_min=True),
+       g0=st.floats(0, 1, exclude_min=True, exclude_max=True))
+def test_sizing_trace_matches_per_divisor_loop(cfg, psi, g0):
+    # the per-divisor loop that size_ttds's one broadcast replaced
+    deltas = 0.5 * np.pi * (dp.freq_ratios(cfg) - 1.0)
+    want = {m: min(1.0, float(np.min(dp.dirichlet_gain(cfg.n_tx // m, deltas * psi))))
+            for m in dp.divisors(cfg.n_tx)}
+    got = dp.size_ttds(cfg, g0, psi).worst_gain_by_divisor
+    assert list(got) == list(want)
+    assert all(type(m) is int and type(v) is float for m, v in got.items())
+    assert_same_bits(np.array(list(got.values())), np.array(list(want.values())))
+
+
+def test_dirichlet_gain_rejects_a_size_array_holding_zero():
+    with pytest.raises(ValueError, match="subarray size must be >= 1"):
+        dp.dirichlet_gain(np.array([[4], [0]]), np.linspace(-0.1, 0.1, 5))
 
 
 # the row-wise writer that _write_table replaced

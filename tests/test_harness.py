@@ -252,9 +252,15 @@ class TestCli:
         path = write_scenario(tmp_path, experiment="rate_cdf", trials=2)
         code = main(["run", str(path), "--threads", "0", "--out-dir", str(tmp_path / "t")])
         assert code == 1
-        assert "threads must be >= 1" in capsys.readouterr().err
+        assert "threads must be an integer >= 1" in capsys.readouterr().err
         with pytest.raises(ValueError, match="threads"):
             dp.run(dp.Scenario.from_file(path), out_dir=tmp_path / "t", threads=-1)
+        # a bool or a non-integer is rejected before any file is written
+        for name, value in (("threads", 2.5), ("threads", True), ("seed", 2.7), ("seed", "7"),
+                            ("seed", True)):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                dp.run(dp.Scenario.from_file(path), out_dir=tmp_path / "bad", **{name: value})
+        assert not (tmp_path / "bad").exists()
 
     def test_budget_at_the_clamp_threshold_runs(self, tmp_path):
         # 330 ps is tmax_lower_bound at 256 antennas and psi = 0.8: the joint

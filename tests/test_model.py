@@ -105,30 +105,32 @@ class TestSubcarrierGrid:
 
 class TestSteering:
     def test_broadside_is_uniform(self, cfg):
-        v = dp.ula_response(cfg, 1, 0.0)
+        v = dp.ideal_precoder(cfg, [0.0], 1)[:, 0]
         assert np.allclose(v, np.full(cfg.n_tx, 1 / np.sqrt(cfg.n_tx)), atol=1e-15)
 
     @settings(max_examples=50, deadline=None)
     @given(psi=st.floats(-1.0, 1.0), k=st.integers(1, 129))
     def test_unit_norm(self, psi, k):
         cfg = make_config()
-        assert np.linalg.norm(dp.ula_response(cfg, k, psi)) == pytest.approx(1.0, abs=1e-12)
+        v = dp.ideal_precoder(cfg, [psi], k)[:, 0]
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
     def test_matched_inner_product_at_center(self, cfg):
-        v = dp.ula_response(cfg, cfg.center_subcarrier, 0.8)
+        v = dp.ideal_precoder(cfg, [0.8], cfg.center_subcarrier)[:, 0]
         assert abs(np.vdot(v, v)) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_direction_beyond_unity(self, cfg):
         with pytest.raises(ValueError):
-            dp.ula_response(cfg, 1, 1.2)
+            dp.ideal_precoder(cfg, [1.2], 1)
 
     @pytest.mark.parametrize("build", [
         lambda cfg, psi: steering_stack(cfg.n_tx, dp.freq_ratios(cfg), psi),
         lambda cfg, psi: steering_gram(cfg.n_tx, dp.freq_ratios(cfg), psi),
         lambda cfg, psi: dp.ideal_precoder(cfg, psi, 1),
-        lambda cfg, psi: dp.ula_response(cfg, 1, psi[1]),
-        lambda cfg, psi: dp.array_gain(dp.ula_response(cfg, 1, 0.0), cfg, 1, psi[1]),
-    ], ids=["steering_stack", "steering_gram", "ideal_precoder", "ula_response", "array_gain"])
+        lambda cfg, psi: dp.ideal_precoder(cfg, psi[1], 1),
+        lambda cfg, psi: dp.array_gain(dp.ideal_precoder(cfg, [0.0], 1)[:, 0], cfg, 1, psi[1]),
+    ], ids=["steering_stack", "steering_gram", "ideal_precoder", "ideal_precoder_scalar",
+            "array_gain"])
     @pytest.mark.parametrize("bad", [np.nan, 1.2, -np.inf])
     def test_rejects_nan_or_out_of_range_direction(self, cfg, build, bad):
         # NaN compares False both ways, so a check written as |psi| > 1 lets it through

@@ -111,7 +111,7 @@ class TestComposite:
         for k in (1, 9, 65, 129):
             f = stack[k - 1]
             for l, p in enumerate(psi):
-                v = dp.ula_response(cfg, k, p)
+                v = dp.ideal_precoder(cfg, [p], k)[:, 0]
                 assert np.allclose(f[:, l], v, atol=1e-12)
 
     def test_matches_factor_product(self, cfg):
@@ -126,7 +126,7 @@ class TestIdealPrecoder:
         for k in (1, 40, 65, 129):
             f = dp.ideal_precoder(cfg, psi, k)
             for l, p in enumerate(psi):
-                v = dp.ula_response(cfg, k, p)
+                v = dp.ideal_precoder(cfg, [p], k)[:, 0]
                 assert abs(np.vdot(v, f[:, l])) == pytest.approx(1.0, abs=1e-12)
 
     def test_broadside_column_uniform(self, cfg):

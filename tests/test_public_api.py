@@ -13,13 +13,14 @@ PUBLIC = [
     "ideal_stack", "make_rng", "materialize", "min_ttds", "min_ttds_linear",
     "nt_upper_bound", "rate_lower_bound", "rate_profile", "run", "sample_channel",
     "sample_paths", "size_ttds", "squint_offset", "subcarrier_frequencies", "taylor_gain",
-    "tmax_lower_bound", "ula_response",
+    "tmax_lower_bound",
 ]
 
 # names that left the library: the QP oracle now lives in tests/qp_oracle.py,
-# and channel_matrices was a wrapper of model._channel_factors
+# channel_matrices was a wrapper of model._channel_factors, and ula_response
+# was ideal_precoder(cfg, [psi], k)[:, 0]
 GONE = ["BranchQP", "KKTSolution", "branch_eta", "branch_qp", "solve_kkt",
-        "solve_projected", "channel_matrices", "qp"]
+        "solve_projected", "channel_matrices", "qp", "ula_response"]
 
 
 def test_all_is_the_written_list():

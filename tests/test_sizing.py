@@ -5,7 +5,7 @@ import pytest
 
 import delayphase as dp
 from conftest import make_config
-from delayphase.sizing import gain_margin, power_consumption_mw, worst_subarray_gain
+from delayphase.sizing import gain_margin, power_consumption_mw
 
 
 def sizing_config(**kw):
@@ -95,10 +95,10 @@ class TestClosedFormSizing:
 class TestExactSizing:
     def test_headline_counterexample_pair(self):
         # 48 fails the 0.9 floor, 60 meets it; no divisor lies between
-        cfg = sizing_config()
-        assert worst_subarray_gain(cfg, 60, 0.8) >= 0.9
-        assert worst_subarray_gain(cfg, 48, 0.8) < 0.9
-        assert dp.size_ttds(cfg, 0.9, 0.8).m_exact == 60
+        result = dp.size_ttds(sizing_config(), 0.9, 0.8)
+        assert result.worst_gain_by_divisor[60] >= 0.9
+        assert result.worst_gain_by_divisor[48] < 0.9
+        assert result.m_exact == 60
 
     def test_vacuous_threshold(self):
         cfg = sizing_config()
@@ -107,6 +107,12 @@ class TestExactSizing:
     def test_single_subcarrier_no_squint(self):
         cfg = sizing_config(n_subcarriers=1)
         result = dp.size_ttds(cfg, 0.999, 0.8)
+        assert result.m_exact == result.m_star == 1
+
+    def test_subnormal_direction_needs_one_element(self):
+        # the squint term underflows to 0; the margin used to divide by it
+        result = dp.size_ttds(sizing_config(), 0.5, 5e-324)
+        assert math.isinf(result.omega)
         assert result.m_exact == result.m_star == 1
 
     def test_closed_form_at_least_exact(self):
@@ -130,7 +136,7 @@ class TestExactSizing:
             g0 = rng.uniform(0.5, 0.99)
             psi_max = rng.uniform(0.1, 1.0)
             m = dp.min_ttds(cfg, g0, psi_max)
-            assert worst_subarray_gain(cfg, m, psi_max) >= g0
+            assert dp.size_ttds(cfg, g0, psi_max).worst_gain_by_divisor[m] >= g0
 
 
 class TestLinearRelaxation:
@@ -160,6 +166,11 @@ class TestNanInputsRejected:
         # it used to return m_star = 720 and m_exact = 1 on the 720-antenna config
         with pytest.raises(ValueError, match="psi_max must be positive"):
             dp.size_ttds(sizing_config(), 0.9, math.nan)
+
+    def test_size_ttds_rejects_infinite_direction(self):
+        # it used to return m_star = 720 and m_exact = 1, as NaN did
+        with pytest.raises(ValueError, match="psi_max must be positive and finite"):
+            dp.size_ttds(sizing_config(), 0.9, math.inf)
 
     def test_gain_margin_rejects_nan(self):
         cfg = sizing_config()
