@@ -110,8 +110,8 @@ def nt_upper_bound(cfg: SystemConfig, psi_max: float):
     psi_max = 0 places no restriction; returns math.inf as the sentinel, as it
     does when a tiny psi_max makes the bound overflow.
     """
-    if not psi_max >= 0:
-        raise ValueError("psi_max must be non-negative")
+    if not 0 <= psi_max <= 1:
+        raise ValueError(f"psi_max must be non-negative: a direction in [0, 1], got {psi_max!r}")
     if psi_max == 0:
         return math.inf
     m = cfg.ttds_per_rf
@@ -121,7 +121,7 @@ def nt_upper_bound(cfg: SystemConfig, psi_max: float):
 
 def tmax_lower_bound(cfg: SystemConfig, psi_max: float) -> float:
     """Smallest per-device delay budget keeping every element unclamped [s]."""
-    if not psi_max >= 0:
-        raise ValueError("psi_max must be non-negative")
+    if not 0 <= psi_max <= 1:
+        raise ValueError(f"psi_max must be non-negative: a direction in [0, 1], got {psi_max!r}")
     m = cfg.ttds_per_rf
     return psi_max * ((2 * m - 1) * cfg.n_tx - m) / (4.0 * m) / cfg.f_c

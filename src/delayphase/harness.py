@@ -11,16 +11,19 @@ Experiments:
 Each experiment yields (stem, header, columns); ``run`` writes each table in
 the chosen format, and the header-less sizing result as JSON. One
 ``_write_json`` writes every JSON file, manifest.json (configuration and seed)
-included. Trials use counter-based RNG streams keyed by trial index, so output
-bytes are identical for any thread count.
+included; a CSV table is formatted a column at a time and written in one piece.
+Trials use counter-based RNG streams keyed by trial index, so output bytes are
+identical for any thread count. A gain_cdf sweep builds one steering stack per
+run of consecutive points on one array grid (n_tx, K, f_c, bandwidth): it is
+both the ideal column and the steering that gain_profile scores columns against.
 """
 
 from __future__ import annotations
 
-import csv
 import datetime as _dt
 import json
 import numbers
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields as dc_fields
@@ -30,12 +33,13 @@ import numpy as np
 
 from . import design as design_mod
 from . import metrics, precoders, sizing
-from .model import (SystemConfig, freq_ratios, make_rng, sample_channel, steering_gram,
-                    subcarrier_frequencies)
+from .model import (SystemConfig, _check_seed, freq_ratios, make_rng, sample_channel,
+                    steering_gram, subcarrier_frequencies)
 
 DESIGN_NAMES = ("proposed", "benchmark", "ideal")
 PROP1_SWEEP = [("n_tx", [128, 256, 512, 1024])]  # prop1_sweep's points when none are given
 _CONFIG_FIELDS = {f.name for f in dc_fields(SystemConfig)}
+_CSV_QUOTED = re.compile('[,"\n]')  # csv.writer quotes a cell holding one of these
 
 
 @dataclass
@@ -123,21 +127,31 @@ def _write_json(path: Path, payload) -> Path:
     return path
 
 
+def _csv_cells(column) -> list:
+    """One column as CSV text: _fmt of each Python value, quoted as csv.writer quotes it."""
+    # an int or float array in one % operation (a longdouble's values stay numpy scalars)
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iuf" and column.itemsize <= 8:
+        line = "%.12g\n" if column.dtype.kind == "f" else "%d\n"
+        return (line * len(column) % tuple(column.tolist())).split("\n")[:-1]
+    return ['"%s"' % c.replace('"', '""') if _CSV_QUOTED.search(c) else c
+            for c in map(_fmt, _values(column))]
+
+
 def _write_table(path: Path, header, columns, fmt: str) -> Path:
     """Write a table given column by column, each as long as the table.
 
     Each column becomes Python values first (_values); JSON writes them as
-    they are, CSV writes the text _fmt gives each one.
+    they are, CSV writes the text _fmt gives each one, a column at a time (_csv_cells).
     """
     # append the extension; with_suffix would truncate stems like "t_max=3.2e-10"
     path = path.parent / f"{path.name}.{fmt}"
     if fmt == "json":
         return _write_json(path, {"header": list(header),
                                   "rows": list(zip(*map(_values, columns)))})
+    lines = [",".join(_csv_cells(header)), *map(",".join, zip(*map(_csv_cells, columns)))]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(zip(*([_fmt(v) for v in _values(c)] for c in columns)))
+        # like csv, write a row of one empty cell as "" so that it is not a blank line
+        fh.write("\n".join(line or '""' for line in lines) + "\n")
     return path
 
 
@@ -192,10 +206,12 @@ def _design_columns(cfg: SystemConfig, psi: float) -> tuple:
 
 
 def _gain_tables(scenario: Scenario, seed, threads):
-    psi = scenario.psi_eval
+    psi, grid = scenario.psi_eval, None
     for param, value, cfg in _sweep_points(scenario):
-        ideal = precoders.ideal_stack(cfg, [psi])[:, :, 0]
-        profiles = metrics.gain_profile(cfg, (*_design_columns(cfg, psi), ideal), psi)
+        # the ideal column is gain_profile's steering stack: one per run of points on one grid
+        if grid != (grid := (cfg.n_tx, cfg.n_subcarriers, cfg.f_c, cfg.bandwidth)):
+            ideal = precoders.ideal_stack(cfg, [psi])[:, :, 0]
+        profiles = metrics._gain_profiles(cfg, (*_design_columns(cfg, psi), ideal), ideal)
         k = np.arange(1, cfg.n_subcarriers + 1)
         freqs = subcarrier_frequencies(cfg)
         for name, profile in zip(DESIGN_NAMES, profiles):
@@ -295,8 +311,7 @@ def run(scenario: Scenario, seed: int | None = None, out_dir=None,
         raise ValueError("format must be csv or json")
     if isinstance(threads, bool) or not isinstance(threads, numbers.Integral) or threads < 1:
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)):
-        raise ValueError(f"seed must be an integer or None, got {seed!r}")
+    _check_seed(scenario.config.seed if seed is None else seed)
     scenario.validate()
     seed = scenario.config.seed if seed is None else int(seed)
     out = Path(out_dir if out_dir is not None else scenario.out_dir)

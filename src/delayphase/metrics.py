@@ -208,24 +208,31 @@ def gain_profile(cfg: SystemConfig, columns, psi: float):
     columns may also be a sequence (tuple, list) of (K, n_tx) arrays: all of
     them are scored against one steering stack, and a tuple of profiles comes
     back in order. The form is told by the first item: a (K, n_tx) array's
-    first item is one row, a sequence's first item is a whole array.
+    first item is one row, a sequence's first item is a whole array. The
+    steering stack equals ideal_stack(cfg, [psi])[:, :, 0] bit for bit, so the
+    harness builds it once per array grid of a sweep, as the ideal column, and
+    scores every column against it through _gain_profiles, this body.
     """
     several = len(columns) > 0 and np.ndim(columns[0]) == 2
-    arrays = [np.asarray(a) for a in (columns if several else (columns,))]
-    for a in arrays:
+    steering = steering_stack(cfg.n_tx, freq_ratios(cfg), psi)[:, :, 0]
+    profiles = _gain_profiles(cfg, columns if several else (columns,), steering)
+    return profiles if several else profiles[0]
+
+
+def _gain_profiles(cfg: SystemConfig, arrays, steering: np.ndarray) -> tuple:
+    """gain_profile of each (K, n_tx) array in turn, scored against the (K, n_tx) steering."""
+    profiles = []
+    for a in map(np.asarray, arrays):
         if a.shape != (cfg.n_subcarriers, cfg.n_tx):
             raise ValueError("columns must have shape (K, n_tx)")
         if not (np.abs(np.linalg.norm(a, axis=1) - 1.0) <= NORM_TOL).all():  # NaN fails
             raise ValueError("precoder column must have unit 2-norm")
-    steering = steering_stack(cfg.n_tx, freq_ratios(cfg), psi)[:, :, 0]
-    profiles = []
-    for a in arrays:
         gains = np.array([abs(np.vdot(v, f)) for v, f in zip(steering, a)])
         if not ((gains >= 0.0) & (gains <= 1.0 + 1e-12)).all():
             raise ValueError("array gain outside [0, 1]")
         xs, cdf = empirical_cdf(gains)
         profiles.append(GainProfile(gains=gains, cdf_x=xs, cdf_y=cdf))
-    return tuple(profiles) if several else profiles[0]
+    return tuple(profiles)
 
 
 def rate_profile(rates) -> RateProfile:

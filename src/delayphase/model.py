@@ -22,9 +22,16 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 
+def _check_seed(seed) -> None:
+    """Reject what numpy's SeedSequence refuses only later: a bool, a non-integer, a negative."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def make_rng(seed: int, stream=None) -> np.random.Generator:
     """Counter-based RNG (Philox). Distinct (seed, stream) pairs give independent,
     reproducible streams, so parallel trials stay deterministic per seed."""
+    _check_seed(seed)
     key = None if stream is None else (tuple(stream) if isinstance(stream, (tuple, list)) else (stream,))
     ss = np.random.SeedSequence(entropy=seed, spawn_key=key or ())
     return np.random.Generator(np.random.Philox(ss))
@@ -89,6 +96,7 @@ class SystemConfig:
         for name in ("n_tx", "n_rx", "n_rf", "n_streams", "ttds_per_rf", "ps_per_ttd"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        _check_seed(self.seed)
         if self.n_tx != self.ttds_per_rf * self.ps_per_ttd:
             raise ValueError("n_tx must equal ttds_per_rf * ps_per_ttd")
         if not (self.n_streams == self.n_rf == self.n_rx):

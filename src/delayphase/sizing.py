@@ -63,8 +63,8 @@ def gain_margin(g0: float, bandwidth: float, f_c: float, n_subcarriers: int,
     """
     if not 0 < g0 < 1:
         raise ValueError("g0 must lie strictly between 0 and 1")
-    if not 0 < psi_max < math.inf:
-        raise ValueError("psi_max must be positive and finite")
+    if not 0 < psi_max <= 1:  # NaN fails
+        raise ValueError(f"psi_max must be positive and finite: a direction <= 1, got {psi_max!r}")
     edge = (np.pi / 2.0) * (bandwidth / f_c) * (n_subcarriers - 1) / (2.0 * n_subcarriers)
     squint = edge * edge * psi_max * psi_max
     if squint == 0:
@@ -86,8 +86,8 @@ def min_ttds_linear(cfg: SystemConfig, g0: float, psi_max: float) -> float:
 
     Not rounded; linear in the bandwidth. Diverges as g0 -> 1 (returns inf).
     """
-    if not psi_max >= 0:
-        raise ValueError("psi_max must be non-negative")
+    if not 0 <= psi_max <= 1:
+        raise ValueError(f"psi_max must be non-negative: a direction in [0, 1], got {psi_max!r}")
     if math.isnan(g0):
         raise ValueError("g0 must be a number")
     if g0 >= 1.0:

@@ -257,7 +257,7 @@ class TestCli:
             dp.run(dp.Scenario.from_file(path), out_dir=tmp_path / "t", threads=-1)
         # a bool or a non-integer is rejected before any file is written
         for name, value in (("threads", 2.5), ("threads", True), ("seed", 2.7), ("seed", "7"),
-                            ("seed", True)):
+                            ("seed", True), ("seed", -1)):
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 dp.run(dp.Scenario.from_file(path), out_dir=tmp_path / "bad", **{name: value})
         assert not (tmp_path / "bad").exists()

@@ -42,6 +42,14 @@ class TestSystemConfig:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             make_config(**{field: value})
 
+    @pytest.mark.parametrize("build", [lambda: make_config(seed=-3), lambda: dp.make_rng(-1),
+                                       lambda: dp.make_rng(2.5), lambda: dp.make_rng(True)],
+                             ids=["config", "make_rng", "make_rng_float", "make_rng_bool"])
+    def test_rejects_negative_or_non_integer_seed(self, build):
+        # a negative seed used to pass until numpy's SeedSequence refused it mid-run
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            build()
+
     def test_accepts_numpy_scalars(self):
         cfg = make_config(n_tx=np.int64(256), t_max=np.float64(340e-12))
         assert cfg.n_tx == 256

@@ -172,6 +172,22 @@ class TestNanInputsRejected:
         with pytest.raises(ValueError, match="psi_max must be positive and finite"):
             dp.size_ttds(sizing_config(), 0.9, math.inf)
 
+    @pytest.mark.parametrize("call", [
+        lambda psi: dp.size_ttds(sizing_config(), 0.9, psi),
+        lambda psi: dp.min_ttds(sizing_config(), 0.9, psi),
+        lambda psi: dp.min_ttds_linear(sizing_config(), 0.9, psi),
+        lambda psi: gain_margin(0.9, 3e10, 3e11, 129, psi),
+        lambda psi: dp.nt_upper_bound(sizing_config(), psi),
+        lambda psi: dp.tmax_lower_bound(sizing_config(), psi),
+    ], ids=["size_ttds", "min_ttds", "min_ttds_linear", "gain_margin", "nt_upper_bound",
+            "tmax_lower_bound"])
+    def test_direction_above_one_rejected(self, call):
+        # psi_max is a direction; size_ttds(cfg720, 0.9, 3.0) used to return m_star = 240
+        for psi_max in (3.0, 1.0 + 1e-12):
+            with pytest.raises(ValueError, match="psi_max"):
+                call(psi_max)
+        call(1.0)  # the end-fire direction is still a direction
+
     def test_gain_margin_rejects_nan(self):
         cfg = sizing_config()
         for g0, psi_max in ((0.9, math.nan), (math.nan, 0.8)):
