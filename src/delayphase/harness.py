@@ -13,9 +13,12 @@ the chosen format, and the header-less sizing result as JSON. One
 ``_write_json`` writes every JSON file, manifest.json (configuration and seed)
 included; a CSV table is formatted a column at a time and written in one piece.
 Trials use counter-based RNG streams keyed by trial index, so output bytes are
-identical for any thread count. A gain_cdf sweep builds one steering stack per
-run of consecutive points on one array grid (n_tx, K, f_c, bandwidth): it is
-both the ideal column and the steering that gain_profile scores columns against.
+identical for any thread count; with one thread they run inline. A rate trial
+forms its channel and analog precoders a block of subcarriers at a time and
+keeps only their small products H_k F_k. A gain_cdf sweep builds one steering
+stack per run of consecutive points on one array grid (n_tx, K, f_c,
+bandwidth): it is both the ideal column and the steering that gain_profile
+scores columns against.
 """
 
 from __future__ import annotations
@@ -33,13 +36,17 @@ import numpy as np
 
 from . import design as design_mod
 from . import metrics, precoders, sizing
-from .model import (SystemConfig, _check_seed, freq_ratios, make_rng, sample_channel,
-                    steering_gram, subcarrier_frequencies)
+# sample_channel is unused here but stays importable under this name: the
+# benchmark's tracer (bench/spans.py) wraps it at every attribute it is bound to.
+from .model import (SystemConfig, _channel_factors, _check_seed, freq_ratios,  # noqa: F401
+                    make_rng, sample_channel, sample_paths, steering_gram,
+                    subcarrier_frequencies)
 
 DESIGN_NAMES = ("proposed", "benchmark", "ideal")
 PROP1_SWEEP = [("n_tx", [128, 256, 512, 1024])]  # prop1_sweep's points when none are given
 _CONFIG_FIELDS = {f.name for f in dc_fields(SystemConfig)}
 _CSV_QUOTED = re.compile('[,"\n]')  # csv.writer quotes a cell holding one of these
+_BLOCK = 16  # subcarriers per block of a rate trial: its channel and analog blocks stay in L2
 
 
 @dataclass
@@ -229,30 +236,37 @@ def _rate_trial(cfg: SystemConfig, seed: int, point_index: int, trial: int) -> d
     and so has the ideal one, so ||F_k||_F^2 = n_rf throughout. The ideal
     precoder is the transmit steering table V_k of the channel H_k = A_k V_k^H,
     so H_k V_k = A_k (V_k^H V_k) comes from the closed-form steering Gram matrix
-    and no ideal stack is built. Each analog stack is released before the next
-    one is built.
+    and no ideal stack is built. The channel and the analog precoders are
+    formed _BLOCK subcarriers at a time and reduced at once to the small
+    products H_k F_k, so no (K, n_rx, n_tx) or (K, n_tx, n_rf) array exists;
+    each product equals the whole-band one bit for bit.
     """
     rng = make_rng(seed, stream=(point_index, trial))
-    channel = sample_channel(cfg, rng)
-    psi_t = channel.paths.psi_tx
-
-    def rates(hf):
-        return metrics.eigenbeam_rate(hf, cfg.n_rf, cfg.rho)
-
-    return {
-        "proposed": rates(channel.h @ precoders.analog_stack(
-            cfg, design_mod.design_joint(cfg, psi_t).design)),
-        "benchmark": rates(channel.h @ precoders.analog_stack(
-            cfg, design_mod.design_benchmark(cfg, psi_t))),
-        "ideal": rates(channel.a @ steering_gram(cfg.n_tx, freq_ratios(cfg), psi_t)),
-    }
+    paths = sample_paths(cfg, rng)
+    psi_t = paths.psi_tx
+    analog = (precoders._analog_blocks(cfg, design_mod.design_joint(cfg, psi_t).design),
+              precoders._analog_blocks(cfg, design_mod.design_benchmark(cfg, psi_t)))
+    K = cfg.n_subcarriers
+    a = np.empty((K, cfg.n_rx, cfg.n_rf), complex)
+    hf = np.empty((len(analog), K, cfg.n_rx, cfg.n_rf), complex)
+    for start in range(0, K, _BLOCK):
+        ks = slice(start, start + _BLOCK)
+        a[ks], h = _channel_factors(cfg, paths, ks)
+        for out, block in zip(hf, analog):
+            out[ks] = h @ block(ks)
+    ideal = a @ steering_gram(cfg.n_tx, freq_ratios(cfg), psi_t)
+    return {name: metrics.eigenbeam_rate(g, cfg.n_rf, cfg.rho)
+            for name, g in zip(DESIGN_NAMES, (*hf, ideal))}
 
 
 def _rate_tables(scenario: Scenario, seed, threads):
     for point_index, (param, value, cfg) in enumerate(_sweep_points(scenario)):
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda t: _rate_trial(cfg, seed, point_index, t), range(scenario.trials)))
+        trials = range(scenario.trials)
+        if threads == 1:  # inline, so that a profile shows the trials rather than a lock
+            results = [_rate_trial(cfg, seed, point_index, t) for t in trials]
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                results = list(pool.map(lambda t: _rate_trial(cfg, seed, point_index, t), trials))
         mean_rows = []
         for name in DESIGN_NAMES:
             pooled = np.concatenate([res[name] for res in results])

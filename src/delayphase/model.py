@@ -9,7 +9,9 @@ Steering vectors come from one kernel, ``steering_stack``; their Gram matrices
 have a closed form, ``steering_gram``. A sampled channel keeps H_k and its
 small receive factor A_k (the paths' gains, delay phases and receive
 responses), with H_k = A_k V_k^H; the transmit steering table V_k is used once
-to form H and then released.
+to form H and then released. ``_channel_factors`` forms A and H for any slice
+of subcarriers, so a caller that reduces H per subcarrier (the harness's rate
+trials) can run block by block and never hold the whole band.
 """
 
 from __future__ import annotations
@@ -115,6 +117,11 @@ class SystemConfig:
             raise ValueError("rho must be non-negative")
         if self.path_delay_max < 0:
             raise ValueError("path_delay_max must be non-negative")
+        f_top = float(subcarrier_frequencies(self)[-1])
+        for name in ("t_max", "path_delay_max"):  # delays enter the model as phases 2*pi*f*delay
+            if not math.isfinite(2 * math.pi * f_top * getattr(self, name)):
+                raise ValueError(f"{name} is too large: 2*pi*f*{name} at the top subcarrier "
+                                 "is not finite")
 
     @property
     def theta_max(self) -> float:
@@ -267,8 +274,13 @@ def sample_paths(cfg: SystemConfig, rng: np.random.Generator) -> PathSet:
     return PathSet(gains=gains, delays=delays, aod=aod, aoa=aoa)
 
 
-def _channel_factors(cfg: SystemConfig, paths: PathSet) -> tuple:
+def _channel_factors(cfg: SystemConfig, paths: PathSet, ks=slice(None)) -> tuple:
     """Receive factor A, shape (K, n_rx, L), and per-subcarrier channel H, shape (K, n_rx, n_tx).
+
+    ks, a slice of the subcarrier axis, selects the subcarriers (K counts those
+    it selects): each takes its frequency and ratio from the whole band's grids,
+    so blocks that partition the band, concatenated, equal the whole-band call
+    bit for bit.
 
     H_k = sqrt(n_rx*n_tx/L) * sum_l gain_l * exp(-j*2*pi*delay_l*f_k) * u_{k,l} v_{k,l}^H,
     formed as H_k = A_k V_k^H: the receive factor A_k has columns
@@ -280,8 +292,8 @@ def _channel_factors(cfg: SystemConfig, paths: PathSet) -> tuple:
     if paths.n_paths != cfg.n_rf:
         raise ValueError("number of paths must equal n_rf")
     L = paths.n_paths
-    freqs = subcarrier_frequencies(cfg)
-    ratios = freq_ratios(cfg)
+    freqs = subcarrier_frequencies(cfg)[ks]
+    ratios = freq_ratios(cfg)[ks]
     psi_t = paths.psi_tx
     psi_r = paths.psi_rx
     it = np.arange(cfg.n_tx)

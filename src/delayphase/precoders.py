@@ -105,9 +105,18 @@ def analog_stack(cfg: SystemConfig, design: AnalogDesign) -> np.ndarray:
     One broadcast product of the phase-shifter and delay phasors, with no
     dense factor and no loop over k. Slice k - 1 is the precoder of subcarrier k.
     """
+    return _analog_blocks(cfg, design)(slice(None))
+
+
+def _analog_blocks(cfg: SystemConfig, design: AnalogDesign):
+    """A function of a subcarrier slice ks giving analog_stack(cfg, design)[ks], bit for bit.
+
+    The design is checked and its phase-shifter phasors are built once; each
+    call builds only the delay phasors and the precoders of its slice.
+    """
     design.validate(cfg)
-    return _compose(_ps_phasors(design, cfg),
-                    _ttd_phasors(design, subcarrier_frequencies(cfg)))
+    ps, freqs = _ps_phasors(design, cfg), subcarrier_frequencies(cfg)
+    return lambda ks: _compose(ps, _ttd_phasors(design, freqs[ks]))
 
 
 def ideal_precoder(cfg: SystemConfig, psi, k: int) -> np.ndarray:

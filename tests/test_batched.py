@@ -13,7 +13,10 @@ formulas it replaced, which run on the cyclic-Jacobi solver, with the bound
 never above the rate, and so must eigenbeam_rate with the rate of
 digital_precoder's W. The closed-form steering
 Gram matrix must match S^H S of the steering stack to 1e-13, and the factored
-channel the three-operand einsum it replaced to 1e-14 of max |H|.
+channel the three-operand einsum it replaced to 1e-14 of max |H|. The channel
+and analog stacks built over blocks of subcarriers must concatenate to the
+whole-band ones, and the rate trial that runs in such blocks must equal the
+whole-band trial it replaced, bit for bit.
 The numerical comparisons draw a fixed sequence of examples (derandomize), so
 the suite's verdict does not change from run to run.
 """
@@ -31,7 +34,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import delayphase as dp
-from conftest import systems
+from conftest import make_config, systems
 from delayphase import design, harness, metrics, model, precoders
 from delayphase.linalg import fix_phase, jacobi_eigh
 from delayphase.model import _channel_factors, steering_gram, steering_stack
@@ -480,3 +483,49 @@ def test_rate_trial_matches_per_subcarrier_loop(cfg, seed, trial):
     assert list(got) == list(harness.DESIGN_NAMES)
     for name in harness.DESIGN_NAMES:
         assert_rel(got[name], want[name])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cfg=systems(), seed=seeds, block=st.integers(1, 41))
+def test_blocks_concatenate_to_whole_band(cfg, seed, block):
+    paths = model.sample_paths(cfg, dp.make_rng(seed))
+    design = random_design(cfg, seed)
+    analog = precoders._analog_blocks(cfg, design)
+    starts = range(0, cfg.n_subcarriers, block)
+    blocks = [(*_channel_factors(cfg, paths, slice(s, s + block)), analog(slice(s, s + block)))
+              for s in starts]
+    whole = (*_channel_factors(cfg, paths), dp.analog_stack(cfg, design))
+    for i, want in enumerate(whole):
+        assert_same_bits(np.concatenate([b[i] for b in blocks]), want)
+
+
+# the whole-band trial that the blocked one replaced: a (K, n_rx, n_tx) channel
+# and one (K, n_tx, n_rf) analog stack per design
+def whole_band_trial(cfg, seed, point_index, trial):
+    rng = dp.make_rng(seed, stream=(point_index, trial))
+    channel = dp.sample_channel(cfg, rng)
+    psi_t = channel.paths.psi_tx
+
+    def rates(hf):
+        return metrics.eigenbeam_rate(hf, cfg.n_rf, cfg.rho)
+
+    return {
+        "proposed": rates(channel.h @ dp.analog_stack(
+            cfg, dp.design_joint(cfg, psi_t).design)),
+        "benchmark": rates(channel.h @ dp.analog_stack(
+            cfg, dp.design_benchmark(cfg, psi_t))),
+        "ideal": rates(channel.a @ steering_gram(cfg.n_tx, dp.freq_ratios(cfg), psi_t)),
+    }
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cfg=systems(), seed=seeds, trial=st.integers(0, 1000))
+# 41 subcarriers: two whole blocks of 16 and a ragged one
+@example(cfg=make_config(n_subcarriers=41, n_tx=64, ttds_per_rf=8, ps_per_ttd=8), seed=3,
+         trial=0)
+def test_blocked_rate_trial_matches_whole_band_trial(cfg, seed, trial):
+    got = harness._rate_trial(cfg, seed, 1, trial)
+    want = whole_band_trial(cfg, seed, 1, trial)
+    assert list(got) == list(want)
+    for name in want:
+        assert_same_bits(got[name], want[name])

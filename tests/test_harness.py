@@ -1,11 +1,13 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import delayphase as dp
-from conftest import HEADLINE
+from conftest import HEADLINE, make_config
+from delayphase import harness
 from delayphase.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -89,6 +91,32 @@ class TestScenario:
             dp.run(sc, out_dir=out)
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, config, fields, field", [
+        ("rate_cdf", dict(path_delay_max=1e300), {}, "path_delay_max"),
+        ("rate_cdf", dict(t_max=1e300), {}, "t_max"),
+        # the mirror step of a negative direction sets delays to t_max - t
+        ("gain_cdf", {}, dict(sweep=[["t_max", [1e300]]], psi_eval=-0.5), "t_max"),
+    ])
+    def test_delay_whose_phase_overflows_rejected_when_built(self, tmp_path, capsys, name,
+                                                             config, fields, field):
+        # 2*pi*f*delay is inf at 1e300 s, and exp(-j*inf) is NaN, which a run
+        # would only report as a non-finite precoder, after making its directory
+        blob = json.loads((ROOT / "scenarios" / f"{name}.json").read_text())
+        blob["config"].update(config)
+        blob.update(fields, trials=2)
+        with pytest.raises(ValueError, match=f"{field} is too large"):
+            dp.Scenario.from_dict(blob)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(blob))
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+        assert f"{field} is too large" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        # at 1e290 s the phase is finite, and the scenario runs
+        blob["config"].update(dict.fromkeys(config, 1e290))
+        blob["sweep"] = [[p, [1e290]] for p, _ in blob.get("sweep", [])]
+        path.write_text(json.dumps(blob))
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 0
+
 
 class TestGainCdfRun:
     def test_files_schema_and_values(self, tmp_path):
@@ -162,6 +190,19 @@ class TestRateCdfRun:
         means = {line.split(",")[0]: float(line.split(",")[1]) for line in mean_lines[1:]}
         assert set(means) == {"proposed", "benchmark", "ideal"}
         assert all(v >= 0 for v in means.values())
+
+    def test_headline_trial_holds_less_than_one_channel(self):
+        # a trial runs in subcarrier blocks, so it never holds a (K, n_rx, n_tx)
+        # array: the whole-band trial it replaced peaked at 4.7 MB
+        cfg = make_config()
+        harness._rate_trial(cfg, 1, 0, 0)  # lazy set-up out of the way
+        tracemalloc.start()
+        try:
+            harness._rate_trial(cfg, 1, 0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cfg.n_subcarriers * cfg.n_rx * cfg.n_tx * np.dtype(complex).itemsize
 
 
 class TestSizingRun:
