@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .model import SystemConfig, _readonly
+from .model import SystemConfig, _check_real, _readonly
 from .precoders import AnalogDesign
 
 
@@ -110,8 +110,7 @@ def nt_upper_bound(cfg: SystemConfig, psi_max: float):
     psi_max = 0 places no restriction; returns math.inf as the sentinel, as it
     does when a tiny psi_max makes the bound overflow.
     """
-    if not 0 <= psi_max <= 1:
-        raise ValueError(f"psi_max must be non-negative: a direction in [0, 1], got {psi_max!r}")
+    _check_real("psi_max", psi_max, 0, 1)
     if psi_max == 0:
         return math.inf
     m = cfg.ttds_per_rf
@@ -121,7 +120,6 @@ def nt_upper_bound(cfg: SystemConfig, psi_max: float):
 
 def tmax_lower_bound(cfg: SystemConfig, psi_max: float) -> float:
     """Smallest per-device delay budget keeping every element unclamped [s]."""
-    if not 0 <= psi_max <= 1:
-        raise ValueError(f"psi_max must be non-negative: a direction in [0, 1], got {psi_max!r}")
+    _check_real("psi_max", psi_max, 0, 1)
     m = cfg.ttds_per_rf
     return psi_max * ((2 * m - 1) * cfg.n_tx - m) / (4.0 * m) / cfg.f_c

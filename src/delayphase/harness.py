@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import datetime as _dt
 import json
-import numbers
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -38,8 +37,8 @@ from . import design as design_mod
 from . import metrics, precoders, sizing
 # sample_channel is unused here but stays importable under this name: the
 # benchmark's tracer (bench/spans.py) wraps it at every attribute it is bound to.
-from .model import (SystemConfig, _channel_factors, _check_seed, freq_ratios,  # noqa: F401
-                    make_rng, sample_channel, sample_paths, steering_gram,
+from .model import (SystemConfig, _channel_factors, _check_int, _check_real,  # noqa: F401
+                    freq_ratios, make_rng, sample_channel, sample_paths, steering_gram,
                     subcarrier_frequencies)
 
 DESIGN_NAMES = ("proposed", "benchmark", "ideal")
@@ -79,19 +78,12 @@ class Scenario:
                 raise ValueError(f"sweep values for {param!r} must be a non-empty list")
             if self.experiment == "prop1_sweep" and param != "n_tx":
                 raise ValueError("prop1_sweep sweeps n_tx only")
-        if (isinstance(self.trials, bool) or not isinstance(self.trials, numbers.Integral)
-                or self.trials < 1):
-            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
-        if (isinstance(self.psi_eval, bool) or not isinstance(self.psi_eval, numbers.Real)
-                or not abs(self.psi_eval) <= 1):
-            raise ValueError(f"psi_eval must be a number with |psi_eval| <= 1, "
-                             f"got {self.psi_eval!r}")
-        if self.experiment == "sizing" and self.psi_eval <= 0:
-            raise ValueError(f"sizing needs psi_eval > 0, got {self.psi_eval!r}")
-        if self.experiment == "criteria_report" and self.psi_eval < 0:
-            raise ValueError(f"criteria_report needs psi_eval >= 0, got {self.psi_eval!r}")
-        if not (isinstance(self.g0, numbers.Real) and 0 < self.g0 < 1):
-            raise ValueError(f"g0 must lie strictly between 0 and 1, got {self.g0!r}")
+        _check_int("trials", self.trials, 1)
+        # sizing needs a direction off broadside, criteria_report a non-negative one
+        low, ends = {"sizing": (0, "(]"), "criteria_report": (0, "[]")}.get(
+            self.experiment, (-1, "[]"))
+        _check_real("psi_eval", self.psi_eval, low, 1, ends)
+        _check_real("g0", self.g0, 0, 1, ends="()")
         _sweep_points(self)  # builds, and so validates, the config of every point
 
     @classmethod
@@ -179,8 +171,7 @@ def _sweep_points(scenario: Scenario):
 def _apply_sweep(cfg: SystemConfig, param: str, value) -> SystemConfig:
     if param == "n_tx":
         # keep the delay-element count, rebalance phase shifters per element
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"n_tx must be an integer, got {value!r}")
+        _check_int("n_tx", value, 1)
         if value % cfg.ttds_per_rf != 0:
             raise ValueError(f"n_tx={value} not divisible by ttds_per_rf={cfg.ttds_per_rf}")
         return cfg.replace(n_tx=int(value), ps_per_ttd=int(value) // cfg.ttds_per_rf)
@@ -323,9 +314,8 @@ def run(scenario: Scenario, seed: int | None = None, out_dir=None,
     from . import __version__
     if fmt not in ("csv", "json"):
         raise ValueError("format must be csv or json")
-    if isinstance(threads, bool) or not isinstance(threads, numbers.Integral) or threads < 1:
-        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
-    _check_seed(scenario.config.seed if seed is None else seed)
+    _check_int("threads", threads, 1)
+    _check_int("seed", scenario.config.seed if seed is None else seed, 0)
     scenario.validate()
     seed = scenario.config.seed if seed is None else int(seed)
     out = Path(out_dir if out_dir is not None else scenario.out_dir)

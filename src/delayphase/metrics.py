@@ -17,7 +17,6 @@ strongest receive modes from one eigendecomposition of H H^H.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +24,8 @@ import numpy as np
 # jacobi_eigh is unused here but stays importable under this name: the
 # benchmark's tracer (bench/spans.py) wraps it at every attribute it is bound to.
 from .linalg import _hermitian, jacobi_eigh  # noqa: F401
-from .model import (SystemConfig, _directions, _dirichlet, _readonly, freq_ratio,
-                    freq_ratios, steering_stack)
+from .model import (SystemConfig, _check_int, _check_real, _dirichlet, _readonly,
+                    freq_ratio, freq_ratios, steering_stack)
 
 NORM_TOL = 1e-9  # allowed deviation of a precoder column's 2-norm from 1
 # eigenvalues of H H^H (squared singular values) at or below SV_TOL times the
@@ -36,7 +35,7 @@ SV_TOL = 1e-12
 
 def squint_offset(cfg: SystemConfig, k: int, psi: float) -> float:
     """Phase-slope mismatch (pi/2) * (f_k/f_c - 1) * psi of subcarrier k at direction psi."""
-    (psi,) = _directions(psi)
+    _check_real("psi", psi, -1, 1)
     return float(0.5 * np.pi * (freq_ratio(cfg, k) - 1.0) * psi)
 
 
@@ -45,6 +44,7 @@ def array_gain(f: np.ndarray, cfg: SystemConfig, k: int, psi: float) -> float:
     f = np.asarray(f)
     if not abs(np.linalg.norm(f) - 1.0) <= NORM_TOL:  # NaN fails
         raise ValueError("precoder column must have unit 2-norm")
+    _check_real("psi", psi, -1, 1)
     return float(abs(np.vdot(steering_stack(cfg.n_tx, freq_ratio(cfg, k), psi)[0, :, 0], f)))
 
 
@@ -54,21 +54,19 @@ def dirichlet_gain(n, delta) -> np.ndarray | float:
     The magnitude of model.steering_gram's Dirichlet kernel: delta is reduced
     to [-pi/2, pi/2], and only the exact zeros of sin(delta) take the limit 1,
     so a tiny nonzero delta keeps its 1 - (n^2 - 1) delta^2 / 6. n is an
-    integer or an integer array that broadcasts against delta.
+    integer or an integer array that broadcasts against delta; delta must be finite.
     """
-    if not (np.asarray(n) >= 1).all():
-        raise ValueError("subarray size must be >= 1")
-    return _float_or_array(np.abs(_dirichlet(n, np.asarray(delta, float))[1]))
+    n, delta = np.asarray(n), np.asarray(delta, float)
+    if n.dtype.kind not in "iu" or not (n >= 1).all():
+        raise ValueError("subarray size n must be an integer >= 1")
+    if not np.isfinite(delta).all():
+        raise ValueError("squint offset delta must be finite")
+    return _float_or_array(np.abs(_dirichlet(n, delta)[1]))
 
 
 def _float_or_array(x: np.ndarray):
     """A single subcarrier's value as a float, a stack's as an array."""
     return float(x) if x.ndim == 0 else x
-
-
-def _check_rho(rho) -> None:
-    if not 0 <= rho < math.inf:  # NaN fails both comparisons
-        raise ValueError(f"rho must be a finite non-negative number, got {rho!r}")
 
 
 def _check_finite(product: np.ndarray) -> None:
@@ -84,7 +82,7 @@ def _check_finite(product: np.ndarray) -> None:
 
 def _log2det(g: np.ndarray, rho, power):
     """log2 det(I + (rho/power) G G^H) by one batched slogdet; power may vary over G's stack."""
-    _check_rho(rho)
+    _check_real("rho", rho, 0)
     _check_finite(g)
     scale = np.asarray(rho / power, float)[..., None, None]
     _, logdet = np.linalg.slogdet(np.eye(g.shape[-2]) + scale * (g @ _hermitian(g)))
@@ -101,6 +99,7 @@ def achievable_rate(h_k: np.ndarray, f_k: np.ndarray, w_k: np.ndarray,
     batched slogdet kernel as eigenbeam_rate. Raises ValueError for a
     non-finite H, F or W.
     """
+    _check_int("n_streams", n_streams, 1)
     return _log2det(h_k @ f_k @ w_k, rho, n_streams)
 
 
@@ -116,9 +115,9 @@ def eigenbeam_rate(hf: np.ndarray, f_power, rho: float):
     subcarrier, an array for a stack. Raises ValueError for a non-finite H F
     or a power that is not finite and positive.
     """
-    f_power = np.asarray(f_power, float)
-    if not ((f_power > 0) & (f_power < np.inf)).all():  # NaN fails
-        raise ValueError("analog precoder must have finite positive power")
+    f_power = np.asarray(f_power)
+    if f_power.dtype.kind not in "iuf" or not ((f_power > 0) & (f_power < np.inf)).all():
+        raise ValueError("f_power must be a finite positive power")
     return _log2det(np.asarray(hf), rho, f_power)
 
 
@@ -138,7 +137,8 @@ def rate_lower_bound(h_k: np.ndarray, f_k: np.ndarray, w_k: np.ndarray,
     returns a float, or stacks with matching leading axes, (..., n, m), and
     returns an array. Raises ValueError for a non-finite H, F or W.
     """
-    _check_rho(rho)
+    _check_real("rho", rho, 0)
+    _check_int("n_streams", n_streams, 1)
     h_k = np.asarray(h_k)
     if h_k.shape[-2] < n_streams:  # fewer receive modes than streams
         _check_finite(h_k @ f_k @ w_k)
@@ -196,27 +196,21 @@ class RateProfile:
             object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), float)))
 
 
-def gain_profile(cfg: SystemConfig, columns, psi: float):
+def gain_profile(cfg: SystemConfig, columns: np.ndarray, psi: float) -> GainProfile:
     """Evaluate one precoder column per subcarrier (shape (K, n_tx)) at direction psi.
 
     Row k - 1 gives array_gain(columns[k - 1], cfg, k, psi), bit for bit: the
     steering vectors come from one stack, but each gain is still its own
     np.vdot, because a batched inner product rounds differently in the last bit.
     The vdot also rounds by the column's stride (see precoders._compose), so
-    columns are read in place, never copied.
-
-    columns may also be a sequence (tuple, list) of (K, n_tx) arrays: all of
-    them are scored against one steering stack, and a tuple of profiles comes
-    back in order. The form is told by the first item: a (K, n_tx) array's
-    first item is one row, a sequence's first item is a whole array. The
-    steering stack equals ideal_stack(cfg, [psi])[:, :, 0] bit for bit, so the
-    harness builds it once per array grid of a sweep, as the ideal column, and
-    scores every column against it through _gain_profiles, this body.
+    columns are read in place, never copied. The steering stack equals
+    ideal_stack(cfg, [psi])[:, :, 0] bit for bit, so the harness builds it once
+    per array grid of a sweep, as the ideal column, and scores every column
+    against it through _gain_profiles, this body.
     """
-    several = len(columns) > 0 and np.ndim(columns[0]) == 2
+    _check_real("psi", psi, -1, 1)
     steering = steering_stack(cfg.n_tx, freq_ratios(cfg), psi)[:, :, 0]
-    profiles = _gain_profiles(cfg, columns if several else (columns,), steering)
-    return profiles if several else profiles[0]
+    return _gain_profiles(cfg, (columns,), steering)[0]
 
 
 def _gain_profiles(cfg: SystemConfig, arrays, steering: np.ndarray) -> tuple:
@@ -225,7 +219,9 @@ def _gain_profiles(cfg: SystemConfig, arrays, steering: np.ndarray) -> tuple:
     for a in map(np.asarray, arrays):
         if a.shape != (cfg.n_subcarriers, cfg.n_tx):
             raise ValueError("columns must have shape (K, n_tx)")
-        if not (np.abs(np.linalg.norm(a, axis=1) - 1.0) <= NORM_TOL).all():  # NaN fails
+        # |a|^2 from the real parts, so an infinite entry gives inf, not a warned NaN
+        norms = np.sqrt((a.real * a.real + a.imag * a.imag).sum(axis=1))
+        if not (np.abs(norms - 1.0) <= NORM_TOL).all():  # NaN fails
             raise ValueError("precoder column must have unit 2-norm")
         gains = np.array([abs(np.vdot(v, f)) for v, f in zip(steering, a)])
         if not ((gains >= 0.0) & (gains <= 1.0 + 1e-12)).all():
@@ -238,7 +234,7 @@ def _gain_profiles(cfg: SystemConfig, arrays, steering: np.ndarray) -> tuple:
 def rate_profile(rates) -> RateProfile:
     """Wrap a rate sample (any shape) into a profile with mean and CDF."""
     rates = np.asarray(rates, float).ravel()
-    if not (rates >= 0).all():
-        raise ValueError("rates must be non-negative")
+    if not ((rates >= 0) & (rates < np.inf)).all():  # NaN fails
+        raise ValueError("rates must be non-negative and finite")
     xs, cdf = empirical_cdf(rates)
     return RateProfile(mean_rate=float(rates.mean()), cdf_x=xs, cdf_y=cdf)

@@ -6,10 +6,10 @@ departure/arrival) and are the primary representation throughout; angles in
 radians are kept alongside them for provenance only.
 
 Steering vectors come from one kernel, ``steering_stack``; their Gram matrices
-have a closed form, ``steering_gram``. A sampled channel keeps H_k and its
-small receive factor A_k (the paths' gains, delay phases and receive
-responses), with H_k = A_k V_k^H; the transmit steering table V_k is used once
-to form H and then released. ``_channel_factors`` forms A and H for any slice
+have a closed form, ``steering_gram``. A sampled channel keeps H_k = A_k V_k^H, with
+A_k its small receive factor (the paths' gains, delay phases and receive
+responses) and V_k the transmit steering table, which is used once to form H
+and then released. ``_channel_factors`` forms A and H for any slice
 of subcarriers, so a caller that reduces H per subcarrier (the harness's rate
 trials) can run block by block and never hold the whole band.
 """
@@ -24,24 +24,39 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 
-def _check_seed(seed) -> None:
-    """Reject what numpy's SeedSequence refuses only later: a bool, a non-integer, a negative."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+def _check_int(name: str, value, low=None) -> None:
+    """Reject anything but an integer (a bool is not one) at or above low, if given."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or (low is not None and value < low)):
+        bound = "" if low is None else f" >= {low}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def _check_real(name: str, value, low=-math.inf, high=math.inf, ends="[]") -> None:
+    """Reject anything but a finite real (a bool is not one) between low and high.
+
+    ends gives the interval's ends as in its notation: "[" or "(" for low,
+    "]" or ")" for high. An infinite end is always open, since the value is finite.
+    """
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)
+            or not (low <= value if ends[0] == "[" else low < value)
+            or not (value <= high if ends[1] == "]" else value < high)):
+        left = ends[0] if math.isfinite(low) else "("
+        right = ends[1] if math.isfinite(high) else ")"
+        raise ValueError(f"{name} must be a finite number in {left}{low:g}, {high:g}{right}, "
+                         f"got {value!r}")
 
 
 def make_rng(seed: int, stream=None) -> np.random.Generator:
     """Counter-based RNG (Philox). Distinct (seed, stream) pairs give independent,
     reproducible streams, so parallel trials stay deterministic per seed."""
-    _check_seed(seed)
-    key = None if stream is None else (tuple(stream) if isinstance(stream, (tuple, list)) else (stream,))
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=key or ())
+    _check_int("seed", seed, 0)
+    key = () if stream is None else stream if isinstance(stream, (tuple, list)) else (stream,)
+    for part in key:
+        _check_int("stream", part, 0)
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
     return np.random.Generator(np.random.Philox(ss))
-
-
-_FLOAT_FIELDS = ("f_c", "bandwidth", "t_max", "rho", "path_delay_max")
-_COUNT_FIELDS = ("n_subcarriers", "n_tx", "n_rx", "n_rf", "n_streams", "ttds_per_rf",
-                 "ps_per_ttd", "seed")
 
 
 @dataclass(frozen=True)
@@ -79,26 +94,17 @@ class SystemConfig:
     path_delay_max: float = 20e-3
 
     def __post_init__(self):
-        for name in _FLOAT_FIELDS:
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        for name in _COUNT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.f_c <= 0:
-            raise ValueError("carrier frequency must be positive")
-        if not 0 <= self.bandwidth < self.f_c:
-            raise ValueError("bandwidth must satisfy 0 <= bandwidth < f_c")
-        k = self.n_subcarriers
-        if k < 1 or k % 2 == 0:
-            raise ValueError("n_subcarriers must be a positive odd integer")
-        for name in ("n_tx", "n_rx", "n_rf", "n_streams", "ttds_per_rf", "ps_per_ttd"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        _check_seed(self.seed)
+        # with bandwidth < f_c every subcarrier frequency lies below 2 f_c, which is then finite
+        _check_real("f_c", self.f_c, 0, np.finfo(float).max / 2, ends="()")
+        _check_real("bandwidth", self.bandwidth, 0, self.f_c, ends="[)")
+        for name in ("t_max", "rho", "path_delay_max"):
+            _check_real(name, getattr(self, name), 0)
+        for name in ("n_subcarriers", "n_tx", "n_rx", "n_rf", "n_streams", "ttds_per_rf",
+                     "ps_per_ttd"):
+            _check_int(name, getattr(self, name), 1)
+        _check_int("seed", self.seed, 0)
+        if self.n_subcarriers % 2 == 0:
+            raise ValueError(f"n_subcarriers must be odd, got {self.n_subcarriers}")
         if self.n_tx != self.ttds_per_rf * self.ps_per_ttd:
             raise ValueError("n_tx must equal ttds_per_rf * ps_per_ttd")
         if not (self.n_streams == self.n_rf == self.n_rx):
@@ -111,12 +117,6 @@ class SystemConfig:
                 "this model targets assumes n_rf << n_tx",
                 stacklevel=2,
             )
-        if self.t_max < 0:
-            raise ValueError("t_max must be non-negative")
-        if self.rho < 0:
-            raise ValueError("rho must be non-negative")
-        if self.path_delay_max < 0:
-            raise ValueError("path_delay_max must be non-negative")
         f_top = float(subcarrier_frequencies(self)[-1])
         for name in ("t_max", "path_delay_max"):  # delays enter the model as phases 2*pi*f*delay
             if not math.isfinite(2 * math.pi * f_top * getattr(self, name)):
@@ -158,9 +158,10 @@ def subcarrier_frequencies(cfg: SystemConfig) -> np.ndarray:
 
 def freq_ratio(cfg: SystemConfig, k: int) -> float:
     """Ratio f_k / f_c; scales spatial directions from the carrier to subcarrier k."""
+    _check_int("k", k)
     if not 1 <= k <= cfg.n_subcarriers:
         raise IndexError(f"subcarrier index {k} outside 1..{cfg.n_subcarriers}")
-    return float(freq_ratios(cfg)[int(k) - 1])
+    return float(freq_ratios(cfg)[k - 1])
 
 
 def freq_ratios(cfg: SystemConfig) -> np.ndarray:
@@ -313,20 +314,16 @@ def _channel_factors(cfg: SystemConfig, paths: PathSet, ks=slice(None)) -> tuple
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One sampled channel: path parameters, materialized per-subcarrier matrices,
-    and their receive factor (H_k = A_k V_k^H, see _channel_factors)."""
+    """One sampled channel: path parameters and materialized per-subcarrier matrices."""
 
     paths: PathSet
     h: np.ndarray  # (K, n_rx, n_tx)
-    a: np.ndarray  # (K, n_rx, L)
 
     def __post_init__(self):
         object.__setattr__(self, "h", _readonly(np.asarray(self.h, complex)))
-        object.__setattr__(self, "a", _readonly(np.asarray(self.a, complex)))
 
 
 def sample_channel(cfg: SystemConfig, rng: np.random.Generator) -> ChannelRealization:
-    """Sample paths and materialize the channel matrices and their receive factor."""
+    """Sample paths and materialize the channel matrices."""
     paths = sample_paths(cfg, rng)
-    a, h = _channel_factors(cfg, paths)
-    return ChannelRealization(paths=paths, h=h, a=a)
+    return ChannelRealization(paths=paths, h=_channel_factors(cfg, paths)[1])

@@ -20,7 +20,7 @@ import numpy as np
 # jacobi_eigh is unused here but stays importable under this name: the
 # benchmark's tracer (bench/spans.py) wraps it at every attribute it is bound to.
 from .linalg import _hermitian, fix_phase, jacobi_eigh  # noqa: F401
-from .model import (SystemConfig, _readonly, freq_ratio, freq_ratios, steering_stack,
+from .model import (SystemConfig, _check_int, _readonly, freq_ratio, freq_ratios, steering_stack,
                     subcarrier_frequencies)
 
 
@@ -147,6 +147,7 @@ def digital_precoder(h_k: np.ndarray, f_k: np.ndarray, n_streams: int) -> np.nda
     spectrum any orthonormal basis of the dominant eigenspace is a valid result.
     Raises ValueError for a non-finite H or F.
     """
+    _check_int("n_streams", n_streams, 1)
     hf = h_k @ f_k
     gram = _hermitian(hf) @ hf
     if not np.isfinite(gram).all():  # LAPACK would only say it did not converge

@@ -15,13 +15,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .metrics import _float_or_array, dirichlet_gain
-from .model import SystemConfig, freq_ratios
+from .model import SystemConfig, _check_int, _check_real, freq_ratios
 
 
 def divisors(n: int) -> list:
     """All positive divisors of n, ascending (trial division up to sqrt(n))."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_int("n", n, 1)
     small, large = [], []
     d = 1
     while d * d <= n:
@@ -34,10 +33,10 @@ def divisors(n: int) -> list:
 
 
 def divisor_ceiling(x: float, n: int) -> int:
-    """Smallest divisor of n that is >= x. Requires x <= n (NaN fails)."""
-    if not x <= n:
-        raise ValueError(f"no divisor of {n} is >= {x}")
-    return next(d for d in divisors(n) if d >= x)
+    """Smallest divisor of n that is >= x. Requires a finite x <= n."""
+    candidates = divisors(n)  # checks n
+    _check_real("x", x, high=n)
+    return next(d for d in candidates if d >= x)
 
 
 def taylor_gain(n_tx: int, m: int, delta) -> np.ndarray | float:
@@ -46,6 +45,8 @@ def taylor_gain(n_tx: int, m: int, delta) -> np.ndarray | float:
     Equals 1 identically when every antenna has its own delay element (m = n_tx).
     Raises ValueError for a NaN or infinite delta.
     """
+    _check_int("n_tx", n_tx, 1)
+    _check_int("m", m, 1)
     delta = np.asarray(delta, float)
     if not np.isfinite(delta).all():
         raise ValueError("squint offset delta must be finite")
@@ -61,10 +62,8 @@ def gain_margin(g0: float, bandwidth: float, f_c: float, n_subcarriers: int,
     the squint term underflows to zero (a subnormal psi_max): there one delay
     element per RF chain already meets any g0.
     """
-    if not 0 < g0 < 1:
-        raise ValueError("g0 must lie strictly between 0 and 1")
-    if not 0 < psi_max <= 1:  # NaN fails
-        raise ValueError(f"psi_max must be positive and finite: a direction <= 1, got {psi_max!r}")
+    _check_real("g0", g0, 0, 1, ends="()")
+    _check_real("psi_max", psi_max, 0, 1, ends="(]")
     edge = (np.pi / 2.0) * (bandwidth / f_c) * (n_subcarriers - 1) / (2.0 * n_subcarriers)
     squint = edge * edge * psi_max * psi_max
     if squint == 0:
@@ -84,13 +83,11 @@ def min_ttds(cfg: SystemConfig, g0: float, psi_max: float) -> int:
 def min_ttds_linear(cfg: SystemConfig, g0: float, psi_max: float) -> float:
     """Large-K relaxation: (pi n_tx / (4 f_c)) sqrt(psi_max^2 / (6 (1-g0))) * B.
 
-    Not rounded; linear in the bandwidth. Diverges as g0 -> 1 (returns inf).
+    Not rounded; linear in the bandwidth. Diverges as g0 -> 1 (returns inf at g0 = 1).
     """
-    if not 0 <= psi_max <= 1:
-        raise ValueError(f"psi_max must be non-negative: a direction in [0, 1], got {psi_max!r}")
-    if math.isnan(g0):
-        raise ValueError("g0 must be a number")
-    if g0 >= 1.0:
+    _check_real("g0", g0, 0, 1, ends="(]")
+    _check_real("psi_max", psi_max, 0, 1)
+    if g0 == 1.0:
         return math.inf
     return (np.pi * cfg.n_tx / (4.0 * cfg.f_c)) * math.sqrt(
         psi_max**2 / (6.0 * (1.0 - g0))) * cfg.bandwidth

@@ -214,7 +214,8 @@ class TestCriteria:
         # NaN used to give nt_upper_bound = inf and tmax_lower_bound = nan
         for bound in (dp.nt_upper_bound, dp.tmax_lower_bound):
             for psi_max in (math.nan, -0.1):
-                with pytest.raises(ValueError, match="psi_max must be non-negative"):
+                with pytest.raises(ValueError,
+                                   match=r"psi_max must be a finite number in \[0, 1\]"):
                     bound(cfg, psi_max)
 
     def test_delay_bound_headline(self, cfg):

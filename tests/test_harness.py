@@ -77,9 +77,9 @@ class TestScenario:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("name, value, message", [
-        ("psi_eval", 1.5, "psi_eval must be a number"),
-        ("g0", 0.0, "g0 must lie strictly"),
-        ("sweep", [("t_max", [-1e-12])], "t_max must be non-negative"),
+        ("psi_eval", 1.5, r"psi_eval must be a finite number in \[-1, 1\]"),
+        ("g0", 0.0, r"g0 must be a finite number in \(0, 1\)"),
+        ("sweep", [("t_max", [-1e-12])], r"t_max must be a finite number in \[0, inf\)"),
     ])
     def test_field_assigned_after_build_rejected_before_writing(self, tmp_path, name, value,
                                                                message):

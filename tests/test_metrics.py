@@ -44,7 +44,7 @@ class TestArrayGain:
     @pytest.mark.parametrize("psi", [np.nan, 1.5])
     def test_squint_offset_rejects_bad_direction(self, cfg, psi):
         # a NaN direction used to give a NaN offset
-        with pytest.raises(ValueError, match=r"\|psi\| <= 1"):
+        with pytest.raises(ValueError, match=r"psi must be a finite number in \[-1, 1\]"):
             dp.squint_offset(cfg, 1, psi)
 
 
@@ -204,10 +204,10 @@ class TestRateInputsRejected:
     def test_bad_rho(self, rho):
         i2 = np.eye(2, dtype=complex)
         for rate in (dp.achievable_rate, dp.rate_lower_bound):
-            with pytest.raises(ValueError, match="rho must be a finite non-negative number"):
+            with pytest.raises(ValueError, match=r"rho must be a finite number in \[0, inf\)"):
                 rate(i2, i2, i2, rho, 2)
         for f_power in (2.0, [2.0, 2.0]):
-            with pytest.raises(ValueError, match="rho must be a finite non-negative number"):
+            with pytest.raises(ValueError, match=r"rho must be a finite number in \[0, inf\)"):
                 dp.eigenbeam_rate(np.stack([i2, i2]), f_power, rho)
 
     @pytest.mark.parametrize("f_power", [np.nan, 0.0, -1.0, [2.0, np.nan], np.inf])
@@ -296,9 +296,8 @@ class TestGainHeadline:
     def test_rejects_nan_columns(self, cfg):
         nan = np.full((cfg.n_subcarriers, cfg.n_tx), np.nan + 0j)
         ideal = dp.ideal_stack(cfg, [0.8])[:, :, 0]
-        for columns in (nan, (ideal, nan)):
-            with pytest.raises(ValueError, match="unit 2-norm"):
-                dp.gain_profile(cfg, columns, 0.8)
+        with pytest.raises(ValueError, match="unit 2-norm"):
+            dp.gain_profile(cfg, nan, 0.8)
 
 
 class TestWideArrayCollapse:

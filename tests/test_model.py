@@ -30,6 +30,8 @@ class TestSystemConfig:
         ("path_delay_max", float("inf")), ("bandwidth", float("-inf")),
         # bool is an int, and so a Real: True would be read as 1 s
         ("t_max", True), ("rho", False),
+        # above half the largest float, f_c + bandwidth could overflow
+        ("f_c", 1.7e308),
     ])
     def test_rejects_non_finite_values(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be a finite number"):
@@ -131,18 +133,20 @@ class TestSteering:
         with pytest.raises(ValueError):
             dp.ideal_precoder(cfg, [1.2], 1)
 
-    @pytest.mark.parametrize("build", [
-        lambda cfg, psi: steering_stack(cfg.n_tx, dp.freq_ratios(cfg), psi),
-        lambda cfg, psi: steering_gram(cfg.n_tx, dp.freq_ratios(cfg), psi),
-        lambda cfg, psi: dp.ideal_precoder(cfg, psi, 1),
-        lambda cfg, psi: dp.ideal_precoder(cfg, psi[1], 1),
-        lambda cfg, psi: dp.array_gain(dp.ideal_precoder(cfg, [0.0], 1)[:, 0], cfg, 1, psi[1]),
+    @pytest.mark.parametrize("build, message", [
+        (lambda cfg, psi: steering_stack(cfg.n_tx, dp.freq_ratios(cfg), psi), r"\|psi\| <= 1"),
+        (lambda cfg, psi: steering_gram(cfg.n_tx, dp.freq_ratios(cfg), psi), r"\|psi\| <= 1"),
+        (lambda cfg, psi: dp.ideal_precoder(cfg, psi, 1), r"\|psi\| <= 1"),
+        (lambda cfg, psi: dp.ideal_precoder(cfg, psi[1], 1), r"\|psi\| <= 1"),
+        # a scalar direction is checked by the scalar rule
+        (lambda cfg, psi: dp.array_gain(dp.ideal_precoder(cfg, [0.0], 1)[:, 0], cfg, 1, psi[1]),
+         r"psi must be a finite number in \[-1, 1\]"),
     ], ids=["steering_stack", "steering_gram", "ideal_precoder", "ideal_precoder_scalar",
             "array_gain"])
     @pytest.mark.parametrize("bad", [np.nan, 1.2, -np.inf])
-    def test_rejects_nan_or_out_of_range_direction(self, cfg, build, bad):
+    def test_rejects_nan_or_out_of_range_direction(self, cfg, build, message, bad):
         # NaN compares False both ways, so a check written as |psi| > 1 lets it through
-        with pytest.raises(ValueError, match=r"\|psi\| <= 1"):
+        with pytest.raises(ValueError, match=message):
             build(cfg, [0.3, bad])
 
 

@@ -11,9 +11,22 @@ on model's Dirichlet kernel against its earlier guarded formula, wherever that
 formula did not round to 1. The comparisons with a tolerance draw a fixed
 sequence of examples (derandomize), so their verdict does not change from run
 to run.
+
+Both public boundaries keep one input rule: every numeric argument of the
+functions in delayphase.__all__ rejects NaN, +-inf and True with a ValueError
+naming it, and a scenario drawn from each field's domain is either rejected
+when built, naming a field, or runs to the end.
 """
 
+import contextlib
+import dataclasses
+import json
 import math
+import re
+import signal
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +35,7 @@ from hypothesis import strategies as st
 
 import delayphase as dp
 from conftest import make_config, systems
+from delayphase.cli import main
 
 directions = st.floats(-1, 1)
 
@@ -87,7 +101,7 @@ def test_joint_at_least_benchmark_at_center_when_delays_clip(cfg, psi, tightness
     cfg = with_t_max(cfg, cfg.ttds_per_rf * cfg.ps_per_ttd * abs(psi) / (2.0 * cfg.f_c)
                      * tightness)
     columns = first_columns(cfg, psi)
-    joint, bench = dp.gain_profile(cfg, (columns["proposed"], columns["benchmark"]), psi)
+    joint, bench = (dp.gain_profile(cfg, columns[name], psi) for name in ("proposed", "benchmark"))
     k = cfg.center_subcarrier - 1
     assert joint.gains[k] >= bench.gains[k] - 1e-12
 
@@ -237,3 +251,260 @@ def test_dirichlet_gain_below_the_old_guard():
     got = dp.dirichlet_gain(n, delta)
     assert got < 1.0
     assert got == pytest.approx(1 - (n * n - 1) * delta**2 / 6, rel=0, abs=2.3e-16)
+
+
+# One input rule at the public boundary. SURFACE holds one valid call per
+# function of delayphase.__all__ that takes numeric input, on a small config,
+# and for each numeric argument the word a ValueError for it must name: the
+# argument's own name, or for an array the quantity its check names. The
+# property replaces one argument at a time by NaN, +inf and -inf (an array gets
+# them in its first entry) and a scalar also by True.
+SMALL = make_config(n_subcarriers=5, n_tx=16, ttds_per_rf=4, ps_per_ttd=4,
+                    n_rx=2, n_rf=2, n_streams=2)
+_H = dp.sample_channel(SMALL, dp.make_rng(1)).h[0]
+_F = dp.ideal_precoder(SMALL, [0.1, -0.4], 2)
+_W = np.eye(2, dtype=complex)
+_JOINT = dp.design_joint(SMALL, [0.1, -0.4]).design
+_PATHS = dp.sample_paths(SMALL, dp.make_rng(2))
+
+
+def _analog_stack(cfg, phases, delays):
+    return dp.analog_stack(cfg, dp.AnalogDesign(phases, delays))
+
+
+def _materialize(cfg, phases, delays, psi, h):
+    return dp.materialize(cfg, dp.AnalogDesign(phases, delays), psi,
+                          dp.ChannelRealization(_PATHS, np.broadcast_to(h, (5, *h.shape))))
+
+
+SCALAR, ARRAY = "scalar", "array"
+SURFACE = {
+    "SystemConfig": (dp.SystemConfig, SMALL.to_dict(),
+                     {name: (SCALAR, name) for name in SMALL.to_dict()}),
+    "Scenario": (dp.Scenario, dict(config=SMALL, experiment="gain_cdf", trials=1, psi_eval=0.5,
+                                   g0=0.9),
+                 {"trials": (SCALAR, "trials"), "psi_eval": (SCALAR, "psi_eval"),
+                  "g0": (SCALAR, "g0")}),
+    "run": (lambda seed, threads: dp.run(dp.Scenario(SMALL, "sizing"), seed=seed,
+                                         threads=threads),
+            dict(seed=3, threads=1), {"seed": (SCALAR, "seed"), "threads": (SCALAR, "threads")}),
+    "make_rng": (dp.make_rng, dict(seed=1, stream=2),
+                 {"seed": (SCALAR, "seed"), "stream": (SCALAR, "stream")}),
+    "freq_ratio": (dp.freq_ratio, dict(cfg=SMALL, k=2), {"k": (SCALAR, "k")}),
+    "squint_offset": (dp.squint_offset, dict(cfg=SMALL, k=2, psi=0.5),
+                      {"k": (SCALAR, "k"), "psi": (SCALAR, "psi")}),
+    "array_gain": (dp.array_gain, dict(f=_F[:, 0], cfg=SMALL, k=2, psi=0.5),
+                   {"f": (ARRAY, "column"), "k": (SCALAR, "k"), "psi": (SCALAR, "psi")}),
+    "dirichlet_gain": (dp.dirichlet_gain, dict(n=4, delta=np.array([0.0, 0.1])),
+                       {"n": (SCALAR, "n"), "delta": (ARRAY, "delta")}),
+    "gain_profile": (dp.gain_profile,
+                     dict(cfg=SMALL, columns=dp.ideal_stack(SMALL, [0.5])[:, :, 0], psi=0.5),
+                     {"columns": (ARRAY, "column"), "psi": (SCALAR, "psi")}),
+    "ideal_precoder": (dp.ideal_precoder, dict(cfg=SMALL, psi=np.array([0.5]), k=2),
+                       {"psi": (ARRAY, "psi"), "k": (SCALAR, "k")}),
+    "ideal_stack": (dp.ideal_stack, dict(cfg=SMALL, psi=np.array([0.5])), {"psi": (ARRAY, "psi")}),
+    "design_joint": (dp.design_joint, dict(cfg=SMALL, psi=np.array([0.1, -0.4])),
+                     {"psi": (ARRAY, "psi")}),
+    "design_benchmark": (dp.design_benchmark, dict(cfg=SMALL, psi=np.array([0.1, -0.4])),
+                         {"psi": (ARRAY, "psi")}),
+    # AnalogDesign's finite and budget checks need the config, so they run in these two
+    "analog_stack": (_analog_stack, dict(cfg=SMALL, phases=_JOINT.phases, delays=_JOINT.delays),
+                     {"phases": (ARRAY, "phases"), "delays": (ARRAY, "delays")}),
+    "materialize": (_materialize, dict(cfg=SMALL, phases=_JOINT.phases, delays=_JOINT.delays,
+                                       psi=np.array([0.5]), h=_H),
+                    {"phases": (ARRAY, "phases"), "delays": (ARRAY, "delays"),
+                     "psi": (ARRAY, "psi"), "h": (ARRAY, "channel")}),
+    "PathSet": (dp.PathSet, dict(gains=_PATHS.gains, delays=_PATHS.delays, aod=_PATHS.aod,
+                                 aoa=_PATHS.aoa),
+                {"gains": (ARRAY, "gains"), "delays": (ARRAY, "delays"),
+                 "aod": (ARRAY, "angles"), "aoa": (ARRAY, "angles")}),
+    "digital_precoder": (dp.digital_precoder, dict(h_k=_H, f_k=_F, n_streams=2),
+                         {"h_k": (ARRAY, "channel"), "f_k": (ARRAY, "precoder"),
+                          "n_streams": (SCALAR, "n_streams")}),
+    "achievable_rate": (dp.achievable_rate, dict(h_k=_H, f_k=_F, w_k=_W, rho=2.0, n_streams=2),
+                        {"h_k": (ARRAY, "channel"), "f_k": (ARRAY, "precoders"),
+                         "w_k": (ARRAY, "precoders"), "rho": (SCALAR, "rho"),
+                         "n_streams": (SCALAR, "n_streams")}),
+    "rate_lower_bound": (dp.rate_lower_bound, dict(h_k=_H, f_k=_F, w_k=_W, rho=2.0, n_streams=2),
+                         {"h_k": (ARRAY, "channel"), "f_k": (ARRAY, "precoders"),
+                          "w_k": (ARRAY, "precoders"), "rho": (SCALAR, "rho"),
+                          "n_streams": (SCALAR, "n_streams")}),
+    "eigenbeam_rate": (dp.eigenbeam_rate, dict(hf=_H @ _F, f_power=2, rho=2.0),
+                       {"hf": (ARRAY, "channel"), "f_power": (SCALAR, "f_power"),
+                        "rho": (SCALAR, "rho")}),
+    "empirical_cdf": (dp.empirical_cdf, dict(values=np.array([1.0, 2.0])),
+                      {"values": (ARRAY, "values")}),
+    "rate_profile": (dp.rate_profile, dict(rates=np.array([1.0, 2.0])),
+                     {"rates": (ARRAY, "rates")}),
+    "nt_upper_bound": (dp.nt_upper_bound, dict(cfg=SMALL, psi_max=0.8),
+                       {"psi_max": (SCALAR, "psi_max")}),
+    "tmax_lower_bound": (dp.tmax_lower_bound, dict(cfg=SMALL, psi_max=0.8),
+                         {"psi_max": (SCALAR, "psi_max")}),
+    "size_ttds": (dp.size_ttds, dict(cfg=SMALL, g0=0.9, psi_max=0.8),
+                  {"g0": (SCALAR, "g0"), "psi_max": (SCALAR, "psi_max")}),
+    "min_ttds": (dp.min_ttds, dict(cfg=SMALL, g0=0.9, psi_max=0.8),
+                 {"g0": (SCALAR, "g0"), "psi_max": (SCALAR, "psi_max")}),
+    "min_ttds_linear": (dp.min_ttds_linear, dict(cfg=SMALL, g0=0.9, psi_max=0.8),
+                        {"g0": (SCALAR, "g0"), "psi_max": (SCALAR, "psi_max")}),
+    "divisors": (dp.divisors, dict(n=12), {"n": (SCALAR, "n")}),
+    "divisor_ceiling": (dp.divisor_ceiling, dict(x=3.5, n=12),
+                        {"x": (SCALAR, "x"), "n": (SCALAR, "n")}),
+    "taylor_gain": (dp.taylor_gain, dict(n_tx=16, m=4, delta=np.array([0.0, 0.1])),
+                    {"n_tx": (SCALAR, "n_tx"), "m": (SCALAR, "m"), "delta": (ARRAY, "delta")}),
+}
+# names of __all__ without a numeric argument of their own, and why
+NOT_NUMERIC = {
+    "AnalogDesign": "checked against a config in analog_stack and materialize (above)",
+    "ChannelRealization": "a result container; its h is checked where it is used (materialize)",
+    "DesignReport": "a result container built by design_joint",
+    "GainProfile": "a result container built by gain_profile",
+    "RateProfile": "a result container built by rate_profile",
+    "PrecoderSet": "a result container built by materialize",
+    "SizingResult": "a result container built by size_ttds",
+    "sample_channel": "takes a checked SystemConfig and a numpy Generator",
+    "sample_paths": "takes a checked SystemConfig and a numpy Generator",
+    "freq_ratios": "takes a checked SystemConfig",
+    "subcarrier_frequencies": "takes a checked SystemConfig",
+}
+# valid inputs whose result is not finite, and why that result has a meaning
+NON_FINITE_RESULTS = {
+    "nt_upper_bound": (dict(psi_max=0.0), "psi_max = 0 places no limit on the antenna count"),
+    "min_ttds_linear": (dict(g0=1.0), "the large-K relaxation diverges as g0 -> 1"),
+}
+# The three per-subcarrier rate kernels check the small product H F (W), not
+# their (n_rx, n_tx) inputs, so an infinite input entry makes numpy's matmul
+# warn (inf * 0) before the ValueError: a check over H would add about 12% to
+# the per-subcarrier time of the three calls. materialize reaches
+# digital_precoder with its channel.
+MATMUL_WARNS = {"digital_precoder", "achievable_rate", "rate_lower_bound", "materialize"}
+
+BAD_CASES = [(name, arg, bad) for name, (_, _, args) in SURFACE.items()
+             for arg, (kind, _) in args.items()
+             for bad in ("nan", "inf", "-inf") + (("True",) if kind == SCALAR else ())]
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail a call that runs past seconds rather than hang (divisors(inf) once looped)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"call ran past {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def with_bad_value(kind, value, bad):
+    if kind == SCALAR:
+        return True if bad == "True" else float(bad)
+    value = np.array(value)  # a copy, so the table keeps its valid inputs
+    value.flat[0] = float(bad)
+    return value
+
+
+def test_surface_table_covers_public_api():
+    assert sorted(SURFACE.keys() | NOT_NUMERIC.keys()) == sorted(dp.__all__)
+    assert not SURFACE.keys() & NOT_NUMERIC.keys()
+
+
+@pytest.mark.parametrize("name", sorted(SURFACE))
+def test_surface_table_calls_are_valid(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # run writes to the scenario's relative out_dir
+    fn, kwargs, _ = SURFACE[name]
+    fn(**kwargs)
+    if name in NON_FINITE_RESULTS:
+        changes, _reason = NON_FINITE_RESULTS[name]
+        assert fn(**dict(kwargs, **changes)) == math.inf
+
+
+@pytest.mark.parametrize("name, arg, bad", BAD_CASES)
+def test_public_function_rejects_non_finite_or_bool(name, arg, bad, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    fn, kwargs, args = SURFACE[name]
+    kind, word = args[arg]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if name in MATMUL_WARNS and kind == ARRAY:
+            warnings.filterwarnings("ignore", "invalid value encountered in matmul",
+                                    RuntimeWarning)
+        with time_limit(5), pytest.raises(ValueError, match=rf"\b{word}\b") as err:
+            fn(**dict(kwargs, **{arg: with_bad_value(kind, kwargs[arg], bad)}))
+    assert not isinstance(err.value, np.linalg.LinAlgError)
+    assert not any(tmp_path.iterdir())  # a rejected run writes nothing
+
+
+# Scenario fields drawn from their domains, extremes and wrong types included,
+# on small arrays and few trials. A scenario is either rejected when it is
+# built, with a ValueError naming a field, and then the CLI writes nothing, or
+# it runs to the end.
+SCENARIO_FIELDS = [f.name for f in dataclasses.fields(dp.SystemConfig)] + [
+    "experiment", "sweep", "trials", "psi_eval", "g0"]
+_WRONG = st.sampled_from([math.nan, math.inf, -math.inf, True, "1", None])
+
+
+def _reals(low, high):
+    """The field's range, its ends, values beyond them, and values of the wrong kind."""
+    return st.one_of(st.floats(low, high), st.sampled_from([low, high, -1.0, 0.0, 1e290, 1e300,
+                                                            1.7e308, 5e-324]), _WRONG)
+
+
+def _counts(high):
+    return st.one_of(st.integers(1, high), st.sampled_from([0, -1, 2.5, 2.0]), _WRONG)
+
+
+CONFIG_DOMAINS = {
+    "f_c": _reals(1e9, 1e12), "bandwidth": _reals(0.0, 1e11), "t_max": _reals(0.0, 1e-9),
+    "rho": _reals(0.0, 100.0), "path_delay_max": _reals(0.0, 1e-7),
+    "n_subcarriers": _counts(9), "n_tx": _counts(16), "ttds_per_rf": _counts(4),
+    "ps_per_ttd": _counts(4), "n_rx": _counts(2), "n_rf": _counts(2), "n_streams": _counts(2),
+    "seed": st.one_of(st.integers(0, 2**64), st.sampled_from([-1, 2.5]), _WRONG),
+}
+
+
+@st.composite
+def _sweeps(draw):
+    param = draw(st.sampled_from(sorted(CONFIG_DOMAINS) + ["carrier"]))
+    values = draw(st.lists(CONFIG_DOMAINS.get(param, st.just(1.0)), max_size=2))
+    return [[param, values]]
+
+
+DOMAINS = {**CONFIG_DOMAINS, "experiment": st.sampled_from(dp.harness.EXPERIMENTS + ("x",)),
+           "trials": _counts(2), "psi_eval": _reals(-1.0, 1.0), "g0": _reals(0.0, 1.0),
+           "sweep": _sweeps()}
+
+
+@st.composite
+def scenario_dicts(draw):
+    """A valid small scenario, then up to three fields drawn from their whole domain."""
+    m_ttd, n_ps, n_rf = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    config = dict(f_c=3e11, bandwidth=3e10, n_subcarriers=2 * draw(st.integers(0, 4)) + 1,
+                  n_tx=m_ttd * n_ps, ttds_per_rf=m_ttd, ps_per_ttd=n_ps, n_rx=n_rf, n_rf=n_rf,
+                  n_streams=n_rf, t_max=draw(st.floats(0.0, 1e-9)), rho=2.0, seed=1)
+    blob = dict(config=config, experiment=draw(st.sampled_from(dp.harness.EXPERIMENTS)),
+                trials=draw(st.integers(1, 2)), psi_eval=draw(st.floats(0.05, 1.0)),
+                g0=draw(st.floats(0.5, 0.99)))
+    for name in draw(st.lists(st.sampled_from(sorted(DOMAINS)), max_size=3, unique=True)):
+        (config if name in CONFIG_DOMAINS else blob)[name] = draw(DOMAINS[name])
+    return blob
+
+
+@pytest.mark.filterwarnings("ignore:n_rf is not small relative to n_tx")
+@settings(max_examples=100, deadline=None)
+@given(blob=scenario_dicts())
+def test_scenario_is_rejected_when_built_or_runs(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        try:
+            scenario = dp.Scenario.from_dict(blob)
+        except ValueError as exc:
+            assert re.search(r"\b(%s)\b" % "|".join(SCENARIO_FIELDS), str(exc)), exc
+            path = Path(tmp) / "scenario.json"
+            path.write_text(json.dumps(blob))
+            assert main(["run", str(path), "--out-dir", str(out)]) == 1
+            assert not out.exists()
+            return
+        result = dp.run(scenario, out_dir=out)
+        assert result.files and all(p.exists() for p in result.files)
