@@ -2,23 +2,21 @@
 massive MIMO OFDM, with closed-form designs, sizing rules, and a CDF harness.
 
 ``__all__`` is the public surface: the functions the harness, the CLI, the
-scenarios and the benchmark reach, the dataclasses they take or return, and
-four paper formulas kept for their tests (squint_offset, taylor_gain,
-min_ttds_linear, dirichlet_gain). Submodules stay importable by name.
+scenarios and the benchmark reach, and the dataclasses they take or return.
+Every name in it has a caller in the package or the benchmark. Submodules
+stay importable by name.
 """
 
 from .design import (DesignReport, design_benchmark, design_joint,
                      nt_upper_bound, tmax_lower_bound)
 from .harness import Scenario, run
-from .metrics import (GainProfile, RateProfile, achievable_rate, array_gain,
-                      dirichlet_gain, eigenbeam_rate, empirical_cdf, gain_profile,
-                      rate_lower_bound, rate_profile, squint_offset)
-from .model import (ChannelRealization, PathSet, SystemConfig, freq_ratio, freq_ratios,
-                    make_rng, sample_channel, sample_paths, subcarrier_frequencies)
+from .metrics import (achievable_rate, array_gain, dirichlet_gain, eigenbeam_rate,
+                      empirical_cdf, gain_profile, rate_lower_bound)
+from .model import (ChannelRealization, PathSet, SystemConfig, freq_ratios, make_rng,
+                    sample_channel, sample_paths, subcarrier_frequencies)
 from .precoders import (AnalogDesign, PrecoderSet, analog_stack, digital_precoder,
                         ideal_precoder, ideal_stack, materialize)
-from .sizing import (SizingResult, divisor_ceiling, divisors, min_ttds, min_ttds_linear,
-                     size_ttds, taylor_gain)
+from .sizing import SizingResult, divisor_ceiling, divisors, min_ttds, size_ttds
 
 __version__ = "0.1.0"
 
@@ -28,16 +26,14 @@ __all__ = [
     # harness
     "Scenario", "run",
     # metrics
-    "GainProfile", "RateProfile", "achievable_rate", "array_gain", "dirichlet_gain",
-    "eigenbeam_rate", "empirical_cdf", "gain_profile", "rate_lower_bound", "rate_profile",
-    "squint_offset",
+    "achievable_rate", "array_gain", "dirichlet_gain", "eigenbeam_rate", "empirical_cdf",
+    "gain_profile", "rate_lower_bound",
     # model
-    "ChannelRealization", "PathSet", "SystemConfig", "freq_ratio", "freq_ratios", "make_rng",
+    "ChannelRealization", "PathSet", "SystemConfig", "freq_ratios", "make_rng",
     "sample_channel", "sample_paths", "subcarrier_frequencies",
     # precoders
     "AnalogDesign", "PrecoderSet", "analog_stack", "digital_precoder", "ideal_precoder",
     "ideal_stack", "materialize",
     # sizing
-    "SizingResult", "divisor_ceiling", "divisors", "min_ttds", "min_ttds_linear",
-    "size_ttds", "taylor_gain",
+    "SizingResult", "divisor_ceiling", "divisors", "min_ttds", "size_ttds",
 ]

@@ -212,11 +212,10 @@ def _gain_tables(scenario: Scenario, seed, threads):
         profiles = metrics._gain_profiles(cfg, (*_design_columns(cfg, psi), ideal), ideal)
         k = np.arange(1, cfg.n_subcarriers + 1)
         freqs = subcarrier_frequencies(cfg)
-        for name, profile in zip(DESIGN_NAMES, profiles):
+        for name, gains in zip(DESIGN_NAMES, profiles):
             yield (_stem("gain_profile", name, param, value), ("k", "f_k", "value"),
-                   (k, freqs, profile.gains))
-            yield (_stem("gain_cdf", name, param, value), ("x", "G"),
-                   (profile.cdf_x, profile.cdf_y))
+                   (k, freqs, gains))
+            yield _stem("gain_cdf", name, param, value), ("x", "G"), metrics.empirical_cdf(gains)
 
 
 def _rate_trial(cfg: SystemConfig, seed: int, point_index: int, trial: int) -> dict:
@@ -261,10 +260,10 @@ def _rate_tables(scenario: Scenario, seed, threads):
         mean_rows = []
         for name in DESIGN_NAMES:
             pooled = np.concatenate([res[name] for res in results])
-            profile = metrics.rate_profile(pooled)
-            yield (_stem("rate_cdf", name, param, value), ("x", "G"),
-                   (profile.cdf_x, profile.cdf_y))
-            mean_rows.append((name, profile.mean_rate))
+            if not ((pooled >= 0) & (pooled < np.inf)).all():  # NaN fails
+                raise ValueError("rates must be non-negative and finite")
+            yield _stem("rate_cdf", name, param, value), ("x", "G"), metrics.empirical_cdf(pooled)
+            mean_rows.append((name, float(pooled.mean())))
         yield _stem("rate_mean", None, param, value), ("design", "mean_rate"), list(zip(*mean_rows))
 
 

@@ -4,7 +4,8 @@ Array gain is always computed as a direct inner product with the subcarrier's
 steering vector, so it applies to arbitrary unit-norm precoder columns; the
 closed-form Dirichlet-kernel ratio is provided separately, from the same kernel
 as ``model.steering_gram``, and agrees with the inner product on unclamped
-joint designs.
+joint designs. ``gain_profile`` returns the (K,) gains; ``empirical_cdf`` gives
+the CDF of any sample, gains or pooled rates.
 
 ``achievable_rate`` and ``rate_lower_bound`` take any digital precoder W.
 ``eigenbeam_rate`` gives the rate of the eigenbeam precoder that
@@ -17,15 +18,13 @@ strongest receive modes from one eigendecomposition of H H^H.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # jacobi_eigh is unused here but stays importable under this name: the
 # benchmark's tracer (bench/spans.py) wraps it at every attribute it is bound to.
 from .linalg import _hermitian, jacobi_eigh  # noqa: F401
-from .model import (SystemConfig, _check_int, _check_real, _dirichlet, _readonly,
-                    freq_ratio, freq_ratios, steering_stack)
+from .model import SystemConfig, _check_int, _check_real, _dirichlet, freq_ratios, steering_stack
+from .precoders import ideal_precoder
 
 NORM_TOL = 1e-9  # allowed deviation of a precoder column's 2-norm from 1
 # eigenvalues of H H^H (squared singular values) at or below SV_TOL times the
@@ -33,19 +32,13 @@ NORM_TOL = 1e-9  # allowed deviation of a precoder column's 2-norm from 1
 SV_TOL = 1e-12
 
 
-def squint_offset(cfg: SystemConfig, k: int, psi: float) -> float:
-    """Phase-slope mismatch (pi/2) * (f_k/f_c - 1) * psi of subcarrier k at direction psi."""
-    _check_real("psi", psi, -1, 1)
-    return float(0.5 * np.pi * (freq_ratio(cfg, k) - 1.0) * psi)
-
-
 def array_gain(f: np.ndarray, cfg: SystemConfig, k: int, psi: float) -> float:
-    """|v_k(psi)^H f| for a unit-norm precoder column f (norm enforced to 1e-9)."""
+    """|v_k(psi)^H f| for a unit-norm column f (to 1e-9), v_k(psi) the ideal precoder's column."""
     f = np.asarray(f)
     if not abs(np.linalg.norm(f) - 1.0) <= NORM_TOL:  # NaN fails
         raise ValueError("precoder column must have unit 2-norm")
     _check_real("psi", psi, -1, 1)
-    return float(abs(np.vdot(steering_stack(cfg.n_tx, freq_ratio(cfg, k), psi)[0, :, 0], f)))
+    return float(abs(np.vdot(ideal_precoder(cfg, psi, k)[:, 0], f)))
 
 
 def dirichlet_gain(n, delta) -> np.ndarray | float:
@@ -69,21 +62,25 @@ def _float_or_array(x: np.ndarray):
     return float(x) if x.ndim == 0 else x
 
 
-def _check_finite(product: np.ndarray) -> None:
-    """Reject a channel-precoder product with a NaN or infinite entry.
+def _finite_product(product, *factors) -> np.ndarray:
+    """product @ factors[0] @ factors[1] @ ..., left to right; ValueError unless it is finite.
 
     The small product is checked, not the (n_rx, n_tx) inputs: a non-finite
-    channel or precoder entry makes it non-finite, and LAPACK would otherwise
-    turn it into a NaN rate, or a NaN eigenvalue into a zero bound.
+    channel or precoder entry makes it non-finite (numpy's warning for its
+    inf * 0 is silenced), and LAPACK would otherwise turn it into a NaN rate,
+    or a NaN eigenvalue into a zero bound.
     """
+    with np.errstate(invalid="ignore", over="ignore"):
+        for factor in factors:
+            product = product @ factor
     if not np.isfinite(product).all():
         raise ValueError("channel and precoders must be finite")
+    return product
 
 
 def _log2det(g: np.ndarray, rho, power):
-    """log2 det(I + (rho/power) G G^H) by one batched slogdet; power may vary over G's stack."""
+    """log2 det(I + (rho/power) G G^H), G finite, by one slogdet; power may vary over G's stack."""
     _check_real("rho", rho, 0)
-    _check_finite(g)
     scale = np.asarray(rho / power, float)[..., None, None]
     _, logdet = np.linalg.slogdet(np.eye(g.shape[-2]) + scale * (g @ _hermitian(g)))
     return _float_or_array(logdet / np.log(2.0))
@@ -100,7 +97,7 @@ def achievable_rate(h_k: np.ndarray, f_k: np.ndarray, w_k: np.ndarray,
     non-finite H, F or W.
     """
     _check_int("n_streams", n_streams, 1)
-    return _log2det(h_k @ f_k @ w_k, rho, n_streams)
+    return _log2det(_finite_product(h_k, f_k, w_k), rho, n_streams)
 
 
 def eigenbeam_rate(hf: np.ndarray, f_power, rho: float):
@@ -118,7 +115,7 @@ def eigenbeam_rate(hf: np.ndarray, f_power, rho: float):
     f_power = np.asarray(f_power)
     if f_power.dtype.kind not in "iuf" or not ((f_power > 0) & (f_power < np.inf)).all():
         raise ValueError("f_power must be a finite positive power")
-    return _log2det(np.asarray(hf), rho, f_power)
+    return _log2det(_finite_product(np.asarray(hf)), rho, f_power)
 
 
 def rate_lower_bound(h_k: np.ndarray, f_k: np.ndarray, w_k: np.ndarray,
@@ -141,14 +138,12 @@ def rate_lower_bound(h_k: np.ndarray, f_k: np.ndarray, w_k: np.ndarray,
     _check_int("n_streams", n_streams, 1)
     h_k = np.asarray(h_k)
     if h_k.shape[-2] < n_streams:  # fewer receive modes than streams
-        _check_finite(h_k @ f_k @ w_k)
+        _finite_product(h_k, f_k, w_k)
         return _float_or_array(np.zeros(h_k.shape[:-2]))
-    gram = h_k @ _hermitian(h_k)
-    _check_finite(gram)
+    gram = _finite_product(h_k, _hermitian(h_k))
     eig, u = np.linalg.eigh(gram)  # ascending: strongest modes last
     kept = np.count_nonzero(eig > SV_TOL * np.maximum(eig[..., -1:], 1e-300), axis=-1)
-    projected = _hermitian(u[..., -n_streams:]) @ h_k @ f_k @ w_k
-    _check_finite(projected)
+    projected = _finite_product(_hermitian(u[..., -n_streams:]), h_k, f_k, w_k)
     det = np.abs(np.linalg.det(projected))
     bound = np.log2(1.0 + rho * det ** (2.0 / n_streams))
     return _float_or_array(np.where(kept >= n_streams, bound, 0.0))
@@ -170,36 +165,10 @@ def empirical_cdf(values):
     return xs, np.cumsum(counts) / values.size
 
 
-@dataclass(frozen=True)
-class GainProfile:
-    """Per-subcarrier array gains g[k] in [0, 1] at one direction and their CDF, read-only."""
+def gain_profile(cfg: SystemConfig, columns: np.ndarray, psi: float) -> np.ndarray:
+    """Array gains, shape (K,), of one precoder column per subcarrier (shape (K, n_tx)) at psi.
 
-    gains: np.ndarray
-    cdf_x: np.ndarray
-    cdf_y: np.ndarray
-
-    def __post_init__(self):
-        for name in ("gains", "cdf_x", "cdf_y"):
-            object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), float)))
-
-
-@dataclass(frozen=True)
-class RateProfile:
-    """Mean and CDF of a per-subcarrier (or pooled) rate sample."""
-
-    mean_rate: float
-    cdf_x: np.ndarray
-    cdf_y: np.ndarray
-
-    def __post_init__(self):
-        for name in ("cdf_x", "cdf_y"):
-            object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), float)))
-
-
-def gain_profile(cfg: SystemConfig, columns: np.ndarray, psi: float) -> GainProfile:
-    """Evaluate one precoder column per subcarrier (shape (K, n_tx)) at direction psi.
-
-    Row k - 1 gives array_gain(columns[k - 1], cfg, k, psi), bit for bit: the
+    Entry k - 1 is array_gain(columns[k - 1], cfg, k, psi), bit for bit: the
     steering vectors come from one stack, but each gain is still its own
     np.vdot, because a batched inner product rounds differently in the last bit.
     The vdot also rounds by the column's stride (see precoders._compose), so
@@ -226,15 +195,6 @@ def _gain_profiles(cfg: SystemConfig, arrays, steering: np.ndarray) -> tuple:
         gains = np.array([abs(np.vdot(v, f)) for v, f in zip(steering, a)])
         if not ((gains >= 0.0) & (gains <= 1.0 + 1e-12)).all():
             raise ValueError("array gain outside [0, 1]")
-        xs, cdf = empirical_cdf(gains)
-        profiles.append(GainProfile(gains=gains, cdf_x=xs, cdf_y=cdf))
+        profiles.append(gains)
     return tuple(profiles)
 
-
-def rate_profile(rates) -> RateProfile:
-    """Wrap a rate sample (any shape) into a profile with mean and CDF."""
-    rates = np.asarray(rates, float).ravel()
-    if not ((rates >= 0) & (rates < np.inf)).all():  # NaN fails
-        raise ValueError("rates must be non-negative and finite")
-    xs, cdf = empirical_cdf(rates)
-    return RateProfile(mean_rate=float(rates.mean()), cdf_x=xs, cdf_y=cdf)

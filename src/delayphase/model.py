@@ -24,11 +24,12 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 
-def _check_int(name: str, value, low=None) -> None:
-    """Reject anything but an integer (a bool is not one) at or above low, if given."""
+def _check_int(name: str, value, low=None, high=None) -> None:
+    """Reject anything but an integer (a bool is not one) within [low, high], where given."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or (low is not None and value < low)):
+            or (low is not None and value < low) or (high is not None and value > high)):
         bound = "" if low is None else f" >= {low}"
+        bound += "" if high is None else f" and <= {high}"
         raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
@@ -156,16 +157,8 @@ def subcarrier_frequencies(cfg: SystemConfig) -> np.ndarray:
     return cfg.f_c + (cfg.bandwidth / K) * (k - 1 - (K - 1) / 2)
 
 
-def freq_ratio(cfg: SystemConfig, k: int) -> float:
-    """Ratio f_k / f_c; scales spatial directions from the carrier to subcarrier k."""
-    _check_int("k", k)
-    if not 1 <= k <= cfg.n_subcarriers:
-        raise IndexError(f"subcarrier index {k} outside 1..{cfg.n_subcarriers}")
-    return float(freq_ratios(cfg)[k - 1])
-
-
 def freq_ratios(cfg: SystemConfig) -> np.ndarray:
-    """All K subcarrier-to-carrier frequency ratios."""
+    """All K ratios f_k / f_c, which scale spatial directions from the carrier to subcarrier k."""
     K = cfg.n_subcarriers
     k = np.arange(1, K + 1)
     return 1.0 + (cfg.bandwidth / cfg.f_c) * ((k - 1 - (K - 1) / 2) / K)

@@ -20,7 +20,7 @@ import numpy as np
 # jacobi_eigh is unused here but stays importable under this name: the
 # benchmark's tracer (bench/spans.py) wraps it at every attribute it is bound to.
 from .linalg import _hermitian, fix_phase, jacobi_eigh  # noqa: F401
-from .model import (SystemConfig, _check_int, _readonly, freq_ratio, freq_ratios, steering_stack,
+from .model import (SystemConfig, _check_int, _readonly, freq_ratios, steering_stack,
                     subcarrier_frequencies)
 
 
@@ -125,9 +125,11 @@ def ideal_precoder(cfg: SystemConfig, psi, k: int) -> np.ndarray:
     Column l is the array response toward psi[l] at subcarrier k, so the array
     gain of every column is exactly 1. Physically realizable only with one
     delay element per antenna. Equal to ideal_stack(cfg, psi)[k - 1], bit for
-    bit, without building the other subcarriers.
+    bit, without building the other subcarriers. Raises ValueError unless k is
+    an integer in 1..K.
     """
-    return steering_stack(cfg.n_tx, freq_ratio(cfg, k), psi)[0]
+    _check_int("k", k, 1, cfg.n_subcarriers)
+    return steering_stack(cfg.n_tx, freq_ratios(cfg)[k - 1], psi)[0]
 
 
 def ideal_stack(cfg: SystemConfig, psi) -> np.ndarray:
@@ -148,8 +150,9 @@ def digital_precoder(h_k: np.ndarray, f_k: np.ndarray, n_streams: int) -> np.nda
     Raises ValueError for a non-finite H or F.
     """
     _check_int("n_streams", n_streams, 1)
-    hf = h_k @ f_k
-    gram = _hermitian(hf) @ hf
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 of a non-finite input
+        hf = h_k @ f_k
+        gram = _hermitian(hf) @ hf
     if not np.isfinite(gram).all():  # LAPACK would only say it did not converge
         raise ValueError("channel and analog precoder must be finite")
     _, vecs = np.linalg.eigh(gram)

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .metrics import _float_or_array, dirichlet_gain
+from .metrics import dirichlet_gain
 from .model import SystemConfig, _check_int, _check_real, freq_ratios
 
 
@@ -37,21 +37,6 @@ def divisor_ceiling(x: float, n: int) -> int:
     candidates = divisors(n)  # checks n
     _check_real("x", x, high=n)
     return next(d for d in candidates if d >= x)
-
-
-def taylor_gain(n_tx: int, m: int, delta) -> np.ndarray | float:
-    """Second-order gain surrogate q(delta) = 1 + (1/6) (1 - (n_tx/m)^2) delta^2.
-
-    Equals 1 identically when every antenna has its own delay element (m = n_tx).
-    Raises ValueError for a NaN or infinite delta.
-    """
-    _check_int("n_tx", n_tx, 1)
-    _check_int("m", m, 1)
-    delta = np.asarray(delta, float)
-    if not np.isfinite(delta).all():
-        raise ValueError("squint offset delta must be finite")
-    q = 1.0 + (1.0 - (n_tx / m) ** 2) / 6.0 * delta * delta
-    return _float_or_array(q)
 
 
 def gain_margin(g0: float, bandwidth: float, f_c: float, n_subcarriers: int,
@@ -78,19 +63,6 @@ def min_ttds(cfg: SystemConfig, g0: float, psi_max: float) -> int:
     """
     omega = gain_margin(g0, cfg.bandwidth, cfg.f_c, cfg.n_subcarriers, psi_max)
     return divisor_ceiling(math.sqrt(cfg.n_tx**2 / (1.0 + omega)), cfg.n_tx)
-
-
-def min_ttds_linear(cfg: SystemConfig, g0: float, psi_max: float) -> float:
-    """Large-K relaxation: (pi n_tx / (4 f_c)) sqrt(psi_max^2 / (6 (1-g0))) * B.
-
-    Not rounded; linear in the bandwidth. Diverges as g0 -> 1 (returns inf at g0 = 1).
-    """
-    _check_real("g0", g0, 0, 1, ends="(]")
-    _check_real("psi_max", psi_max, 0, 1)
-    if g0 == 1.0:
-        return math.inf
-    return (np.pi * cfg.n_tx / (4.0 * cfg.f_c)) * math.sqrt(
-        psi_max**2 / (6.0 * (1.0 - g0))) * cfg.bandwidth
 
 
 P_TTD_MW = 100.0  # power of one delay element

@@ -12,6 +12,7 @@ import numpy as np
 import delayphase as dp
 import qp_oracle as qp
 from conftest import HEADLINE, make_config
+from paper_formulas import squint_offset
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -68,7 +69,7 @@ def test_criterion_2_sizing_reproduction():
     cfg = make_config(n_tx=720, ttds_per_rf=16, ps_per_ttd=45, t_max=1000e-12)
     m_star = dp.min_ttds(cfg, 0.9, 0.8)
     worst60 = dp.size_ttds(cfg, 0.9, 0.8).worst_gain_by_divisor[60]
-    deltas = np.array([dp.squint_offset(cfg, k, 0.8)
+    deltas = np.array([squint_offset(cfg, k, 0.8)
                        for k in range(1, cfg.n_subcarriers + 1)])
     frac48 = float(np.mean(dp.dirichlet_gain(720 // 48, deltas) < 0.9))
     ok = (m_star == 60) and (worst60 >= 0.9) and (0.16 <= frac48 <= 0.20)

@@ -125,7 +125,7 @@ def test_ideal_stack_matches_ideal_precoder(cfg, psi):
     for k in subcarriers(cfg):
         assert_same_bits(stack[k - 1], dp.ideal_precoder(cfg, psi, k))
         # the per-column steering formula the stack replaced
-        ratio = dp.freq_ratio(cfg, k)
+        ratio = dp.freq_ratios(cfg)[k - 1]
         columns = [np.exp(-1j * np.pi * i * ratio * p) / np.sqrt(cfg.n_tx) for p in psi]
         assert_same_bits(stack[k - 1], np.stack(columns, axis=1))
 
@@ -141,7 +141,7 @@ def test_gain_profile_matches_array_gain_loop(cfg, psi, seed):
     for stack in stacks:
         columns = stack[:, :, 0]
         want = np.array([dp.array_gain(columns[k - 1], cfg, k, psi) for k in subcarriers(cfg)])
-        assert_same_bits(dp.gain_profile(cfg, columns, psi).gains, want)
+        assert_same_bits(dp.gain_profile(cfg, columns, psi), want)
 
 
 # the one-chain view of a small config repeats the small-array warning its config gave
@@ -159,8 +159,7 @@ def test_one_chain_columns_match_full_stack(cfg, psi):
         assert_same_bits(got, want)
         # gain_profile's vdot rounds differently at unit stride, as the full stack's does
         assert (got.strides[1] == got.itemsize) == (cfg.n_rf == 1)
-        assert_same_bits(dp.gain_profile(cfg, got, psi).gains,
-                         dp.gain_profile(cfg, want, psi).gains)
+        assert_same_bits(dp.gain_profile(cfg, got, psi), dp.gain_profile(cfg, want, psi))
 
 
 # the gain tables as built before the stack was shared: two steering stacks per point,
@@ -172,11 +171,11 @@ def reference_gain_tables(points, psi):
                     for columns in (*harness._design_columns(cfg, psi), ideal)]
         k = np.arange(1, cfg.n_subcarriers + 1)
         freqs = dp.subcarrier_frequencies(cfg)
-        for name, profile in zip(harness.DESIGN_NAMES, profiles):
+        for name, gains in zip(harness.DESIGN_NAMES, profiles):
             yield (harness._stem("gain_profile", name, param, value), ("k", "f_k", "value"),
-                   (k, freqs, profile.gains))
+                   (k, freqs, gains))
             yield (harness._stem("gain_cdf", name, param, value), ("x", "G"),
-                   (profile.cdf_x, profile.cdf_y))
+                   dp.empirical_cdf(gains))
 
 
 @st.composite

@@ -3,7 +3,9 @@ import pytest
 
 import delayphase as dp
 from conftest import make_config
+from delayphase import harness
 from delayphase.model import _channel_factors
+from paper_formulas import squint_offset
 
 
 class TestArrayGain:
@@ -22,7 +24,7 @@ class TestArrayGain:
     def test_inner_product_matches_sine_ratio(self, cfg):
         f = dp.ideal_precoder(cfg, [0.8], cfg.center_subcarrier)[:, 0]
         for k in (1, 13, 65, 100, 129):
-            delta = dp.squint_offset(cfg, k, 0.8)
+            delta = squint_offset(cfg, k, 0.8)
             assert dp.array_gain(f, cfg, k, 0.8) == pytest.approx(
                 dp.dirichlet_gain(cfg.n_tx, delta), abs=1e-10)
 
@@ -45,7 +47,7 @@ class TestArrayGain:
     def test_squint_offset_rejects_bad_direction(self, cfg, psi):
         # a NaN direction used to give a NaN offset
         with pytest.raises(ValueError, match=r"psi must be a finite number in \[-1, 1\]"):
-            dp.squint_offset(cfg, 1, psi)
+            squint_offset(cfg, 1, psi)
 
 
 class TestDirichletGain:
@@ -69,7 +71,7 @@ class TestDirichletGain:
         assert not rep.clamped.any()
         pset = dp.materialize(cfg, rep.design)
         for k in range(1, cfg.n_subcarriers + 1):
-            expected = dp.dirichlet_gain(cfg.ps_per_ttd, dp.squint_offset(cfg, k, 0.8))
+            expected = dp.dirichlet_gain(cfg.ps_per_ttd, squint_offset(cfg, k, 0.8))
             got = dp.array_gain(pset.analog[k - 1, :, 0], cfg, k, 0.8)
             assert got == pytest.approx(expected, abs=1e-10)
 
@@ -220,27 +222,34 @@ class TestRateInputsRejected:
                                       "rate_lower_bound_one_rx", "eigenbeam_rate"])
     @pytest.mark.parametrize("operand", ["h", "f", "w"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
     @pytest.mark.filterwarnings("error")
     def test_non_finite_channel_or_precoder(self, rate, operand, bad):
         # a NaN channel used to give a NaN rate and a zero bound, which reads
-        # as a rank-deficient channel. The only warning allowed is numpy's own
-        # for inf * 0 in the products, which come before any check can run.
+        # as a rank-deficient channel. numpy's warning for inf * 0 in the
+        # products, which come before any check can run, used to escape too.
         ops = {name: np.eye(2, dtype=complex) for name in ("h", "f", "w")}
         ops[operand][0, 0] = bad
         h, f, w = ops["h"], ops["f"], ops["w"]
+        with np.errstate(invalid="ignore"):  # eigenbeam_rate takes the product: form it here
+            hfw = h @ f @ w
         call = {"achievable_rate": lambda: dp.achievable_rate(h, f, w, 2.0, 2),
                 "rate_lower_bound": lambda: dp.rate_lower_bound(h, f, w, 2.0, 2),
                 # fewer receive modes than streams: the bound is 0 without an eigensolve
                 "rate_lower_bound_one_rx": lambda: dp.rate_lower_bound(h[:1], f, w, 2.0, 2),
-                "eigenbeam_rate": lambda: dp.eigenbeam_rate(h @ f @ w, 2.0, 2.0)}[rate]
+                "eigenbeam_rate": lambda: dp.eigenbeam_rate(hfw, 2.0, 2.0)}[rate]
         with pytest.raises(ValueError, match="channel and precoders must be finite"):
             call()
 
     @pytest.mark.parametrize("rates", [[1.0, np.nan], [1.0, -0.5]])
-    def test_bad_rates(self, rates):
-        with pytest.raises(ValueError, match="rates must be non-negative"):
-            dp.rate_profile(rates)
+    def test_bad_rates(self, rates, tmp_path, monkeypatch):
+        # run() checks each pooled rate sample before it writes its tables
+        monkeypatch.setattr(harness, "_rate_trial",
+                            lambda *args: {name: np.array(rates) for name in harness.DESIGN_NAMES})
+        scenario = dp.Scenario(make_config(n_tx=32, ttds_per_rf=8, ps_per_ttd=4,
+                                           n_subcarriers=9), "rate_cdf", trials=2)
+        with pytest.raises(ValueError, match="rates must be non-negative and finite"):
+            dp.run(scenario, out_dir=tmp_path / "out")
+        assert not any((tmp_path / "out").iterdir())
 
 
 class TestEmpiricalCdf:
@@ -274,24 +283,26 @@ class TestGainHeadline:
     def test_joint_fraction_above_threshold(self, cfg):
         rep = dp.design_joint(cfg, [0.8] * 4)
         cols = dp.materialize(cfg, rep.design).analog[:, :, 0]
-        profile = dp.gain_profile(cfg, cols, 0.8)
-        fraction = float(np.mean(profile.gains >= 0.9))
+        gains = dp.gain_profile(cfg, cols, 0.8)
+        fraction = float(np.mean(gains >= 0.9))
         assert fraction == pytest.approx(101 / 129, abs=1e-12)
         assert fraction >= 0.75
 
     def test_benchmark_never_reaches_threshold(self, cfg):
         cols = dp.materialize(cfg, dp.design_benchmark(cfg, [0.8] * 4)).analog[:, :, 0]
-        profile = dp.gain_profile(cfg, cols, 0.8)
-        assert np.mean(profile.gains >= 0.9) == 0.0
-        assert profile.gains.max() < 0.9
+        gains = dp.gain_profile(cfg, cols, 0.8)
+        assert np.mean(gains >= 0.9) == 0.0
+        assert gains.max() < 0.9
 
     def test_profile_invariants(self, cfg):
         rep = dp.design_joint(cfg, [0.8] * 4)
         cols = dp.materialize(cfg, rep.design).analog[:, :, 0]
-        profile = dp.gain_profile(cfg, cols, 0.8)
-        assert np.all(profile.gains >= 0.0) and np.all(profile.gains <= 1.0 + 1e-12)
-        assert np.all(np.diff(profile.cdf_y) >= 0)
-        assert profile.cdf_y[-1] == 1.0
+        gains = dp.gain_profile(cfg, cols, 0.8)
+        assert gains.shape == (cfg.n_subcarriers,)
+        assert np.all(gains >= 0.0) and np.all(gains <= 1.0 + 1e-12)
+        _, cdf = dp.empirical_cdf(gains)
+        assert np.all(np.diff(cdf) >= 0)
+        assert cdf[-1] == 1.0
 
     def test_rejects_nan_columns(self, cfg):
         nan = np.full((cfg.n_subcarriers, cfg.n_tx), np.nan + 0j)

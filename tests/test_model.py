@@ -84,19 +84,24 @@ class TestSubcarrierGrid:
         assert freqs[129 - 1] == pytest.approx(314883720930.23254, rel=1e-12)
 
     def test_out_of_range_index(self, cfg):
-        for k in (0, 130, -3):
-            with pytest.raises(IndexError):
-                dp.freq_ratio(cfg, k)
+        # freq_ratios(cfg)[k - 1] unchecked would read k = 0 as the top subcarrier
+        column = dp.ideal_precoder(cfg, [0.8], 1)[:, 0]
+        for k in (0, cfg.n_subcarriers + 1, -3, True, 2.0):
+            with pytest.raises(ValueError, match=r"\bk must be an integer >= 1 and <= 129\b"):
+                dp.ideal_precoder(cfg, [0.8], k)
+            with pytest.raises(ValueError, match=r"\bk must be an integer"):
+                dp.array_gain(column, cfg, k, 0.8)
 
     def test_vectorized_matches_scalar(self, cfg):
-        ratios = dp.freq_ratios(cfg)
+        ratios, freqs = dp.freq_ratios(cfg), dp.subcarrier_frequencies(cfg)
         for k in (1, 2, 64, 65, 129):
-            assert ratios[k - 1] == dp.freq_ratio(cfg, k)
+            assert ratios[k - 1] == pytest.approx(freqs[k - 1] / cfg.f_c, rel=1e-15)
 
     def test_ratio_values(self, cfg):
-        assert dp.freq_ratio(cfg, 65) == 1.0
+        ratios = dp.freq_ratios(cfg)
+        assert ratios[65 - 1] == 1.0
         # 1 - 0.1 * 64/129 evaluated by hand
-        assert dp.freq_ratio(cfg, 1) == pytest.approx(0.9503875968992248, rel=1e-12)
+        assert ratios[1 - 1] == pytest.approx(0.9503875968992248, rel=1e-12)
 
     def test_ratio_sum_identity(self, cfg):
         assert dp.freq_ratios(cfg).sum() == pytest.approx(129.0, rel=1e-12)
@@ -163,8 +168,9 @@ class TestChannel:
                            aod=[np.arcsin(psi)], aoa=[0.0])
         h = _channel_factors(cfg, paths)[1]
         for k in (1, 5, 9):
-            u = steering_stack(cfg.n_rx, dp.freq_ratio(cfg, k), 0.0)[0, :, 0]
-            v = steering_stack(cfg.n_tx, dp.freq_ratio(cfg, k), psi)[0, :, 0]
+            ratio = dp.freq_ratios(cfg)[k - 1]
+            u = steering_stack(cfg.n_rx, ratio, 0.0)[0, :, 0]
+            v = steering_stack(cfg.n_tx, ratio, psi)[0, :, 0]
             expected = np.sqrt(cfg.n_rx * cfg.n_tx) * np.outer(u, v.conj())
             assert np.allclose(h[k - 1], expected, atol=1e-12)
             assert np.linalg.matrix_rank(h[k - 1]) == 1

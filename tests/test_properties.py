@@ -73,7 +73,7 @@ def test_delays_lie_in_budget(cfg, psi, element, at_threshold):
 @given(cfg=systems(), psi=directions)
 def test_gains_lie_in_unit_interval(cfg, psi):
     for columns in first_columns(cfg, psi).values():
-        gains = dp.gain_profile(cfg, columns, psi).gains
+        gains = dp.gain_profile(cfg, columns, psi)
         # a matched column's gain is 1 up to the rounding of its inner product
         assert np.all(gains >= 0) and np.all(gains <= 1 + 1e-12)
 
@@ -86,8 +86,8 @@ def test_joint_equals_benchmark_when_nothing_clips(cfg, psi, slack):
     # whole array
     cfg = with_t_max(cfg, cfg.ttds_per_rf * cfg.ps_per_ttd * abs(psi) / (2.0 * cfg.f_c) * slack)
     columns = first_columns(cfg, psi)
-    joint = dp.gain_profile(cfg, columns["proposed"], psi).gains
-    bench = dp.gain_profile(cfg, columns["benchmark"], psi).gains
+    joint = dp.gain_profile(cfg, columns["proposed"], psi)
+    bench = dp.gain_profile(cfg, columns["benchmark"], psi)
     assert np.max(np.abs(joint - bench)) <= 1e-10
 
 
@@ -103,7 +103,7 @@ def test_joint_at_least_benchmark_at_center_when_delays_clip(cfg, psi, tightness
     columns = first_columns(cfg, psi)
     joint, bench = (dp.gain_profile(cfg, columns[name], psi) for name in ("proposed", "benchmark"))
     k = cfg.center_subcarrier - 1
-    assert joint.gains[k] >= bench.gains[k] - 1e-12
+    assert joint[k] >= bench[k] - 1e-12
 
 
 def reference_joint_branch(n_ps, element, psi_abs, f_c, t_max):
@@ -290,9 +290,6 @@ SURFACE = {
             dict(seed=3, threads=1), {"seed": (SCALAR, "seed"), "threads": (SCALAR, "threads")}),
     "make_rng": (dp.make_rng, dict(seed=1, stream=2),
                  {"seed": (SCALAR, "seed"), "stream": (SCALAR, "stream")}),
-    "freq_ratio": (dp.freq_ratio, dict(cfg=SMALL, k=2), {"k": (SCALAR, "k")}),
-    "squint_offset": (dp.squint_offset, dict(cfg=SMALL, k=2, psi=0.5),
-                      {"k": (SCALAR, "k"), "psi": (SCALAR, "psi")}),
     "array_gain": (dp.array_gain, dict(f=_F[:, 0], cfg=SMALL, k=2, psi=0.5),
                    {"f": (ARRAY, "column"), "k": (SCALAR, "k"), "psi": (SCALAR, "psi")}),
     "dirichlet_gain": (dp.dirichlet_gain, dict(n=4, delta=np.array([0.0, 0.1])),
@@ -334,8 +331,6 @@ SURFACE = {
                         "rho": (SCALAR, "rho")}),
     "empirical_cdf": (dp.empirical_cdf, dict(values=np.array([1.0, 2.0])),
                       {"values": (ARRAY, "values")}),
-    "rate_profile": (dp.rate_profile, dict(rates=np.array([1.0, 2.0])),
-                     {"rates": (ARRAY, "rates")}),
     "nt_upper_bound": (dp.nt_upper_bound, dict(cfg=SMALL, psi_max=0.8),
                        {"psi_max": (SCALAR, "psi_max")}),
     "tmax_lower_bound": (dp.tmax_lower_bound, dict(cfg=SMALL, psi_max=0.8),
@@ -344,21 +339,15 @@ SURFACE = {
                   {"g0": (SCALAR, "g0"), "psi_max": (SCALAR, "psi_max")}),
     "min_ttds": (dp.min_ttds, dict(cfg=SMALL, g0=0.9, psi_max=0.8),
                  {"g0": (SCALAR, "g0"), "psi_max": (SCALAR, "psi_max")}),
-    "min_ttds_linear": (dp.min_ttds_linear, dict(cfg=SMALL, g0=0.9, psi_max=0.8),
-                        {"g0": (SCALAR, "g0"), "psi_max": (SCALAR, "psi_max")}),
     "divisors": (dp.divisors, dict(n=12), {"n": (SCALAR, "n")}),
     "divisor_ceiling": (dp.divisor_ceiling, dict(x=3.5, n=12),
                         {"x": (SCALAR, "x"), "n": (SCALAR, "n")}),
-    "taylor_gain": (dp.taylor_gain, dict(n_tx=16, m=4, delta=np.array([0.0, 0.1])),
-                    {"n_tx": (SCALAR, "n_tx"), "m": (SCALAR, "m"), "delta": (ARRAY, "delta")}),
 }
 # names of __all__ without a numeric argument of their own, and why
 NOT_NUMERIC = {
     "AnalogDesign": "checked against a config in analog_stack and materialize (above)",
     "ChannelRealization": "a result container; its h is checked where it is used (materialize)",
     "DesignReport": "a result container built by design_joint",
-    "GainProfile": "a result container built by gain_profile",
-    "RateProfile": "a result container built by rate_profile",
     "PrecoderSet": "a result container built by materialize",
     "SizingResult": "a result container built by size_ttds",
     "sample_channel": "takes a checked SystemConfig and a numpy Generator",
@@ -369,14 +358,7 @@ NOT_NUMERIC = {
 # valid inputs whose result is not finite, and why that result has a meaning
 NON_FINITE_RESULTS = {
     "nt_upper_bound": (dict(psi_max=0.0), "psi_max = 0 places no limit on the antenna count"),
-    "min_ttds_linear": (dict(g0=1.0), "the large-K relaxation diverges as g0 -> 1"),
 }
-# The three per-subcarrier rate kernels check the small product H F (W), not
-# their (n_rx, n_tx) inputs, so an infinite input entry makes numpy's matmul
-# warn (inf * 0) before the ValueError: a check over H would add about 12% to
-# the per-subcarrier time of the three calls. materialize reaches
-# digital_precoder with its channel.
-MATMUL_WARNS = {"digital_precoder", "achievable_rate", "rate_lower_bound", "materialize"}
 
 BAD_CASES = [(name, arg, bad) for name, (_, _, args) in SURFACE.items()
              for arg, (kind, _) in args.items()
@@ -427,9 +409,6 @@ def test_public_function_rejects_non_finite_or_bool(name, arg, bad, tmp_path, mo
     kind, word = args[arg]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        if name in MATMUL_WARNS and kind == ARRAY:
-            warnings.filterwarnings("ignore", "invalid value encountered in matmul",
-                                    RuntimeWarning)
         with time_limit(5), pytest.raises(ValueError, match=rf"\b{word}\b") as err:
             fn(**dict(kwargs, **{arg: with_bad_value(kind, kwargs[arg], bad)}))
     assert not isinstance(err.value, np.linalg.LinAlgError)

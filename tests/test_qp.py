@@ -241,7 +241,7 @@ class TestObjectiveEquivalence:
         for k in range(1, K + 1):
             ideal = dp.ideal_precoder(cfg, psi, k)
             frob += np.linalg.norm(ideal - analog[k - 1]) ** 2 / K
-            z = dp.freq_ratio(cfg, k)
+            z = dp.freq_ratios(cfg)[k - 1]
             for l in range(2):
                 for m in range(3):
                     for n in range(2):

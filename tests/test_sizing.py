@@ -5,6 +5,7 @@ import pytest
 
 import delayphase as dp
 from conftest import make_config
+from paper_formulas import min_ttds_linear, taylor_gain
 from delayphase.sizing import gain_margin, power_consumption_mw
 
 
@@ -45,14 +46,14 @@ class TestDivisors:
 
 class TestTaylorGain:
     def test_zero_offset(self):
-        assert dp.taylor_gain(256, 16, 0.0) == 1.0
+        assert taylor_gain(256, 16, 0.0) == 1.0
 
     def test_per_antenna_elements_flat(self):
         deltas = np.linspace(0, 0.5, 11)
-        assert np.all(dp.taylor_gain(64, 64, deltas) == 1.0)
+        assert np.all(taylor_gain(64, 64, deltas) == 1.0)
 
     def test_close_to_exact_ratio_at_small_offset(self):
-        q = dp.taylor_gain(720, 60, 0.031)
+        q = taylor_gain(720, 60, 0.031)
         exact = dp.dirichlet_gain(12, 0.031)
         assert abs(q - exact) < 0.01
 
@@ -60,7 +61,7 @@ class TestTaylorGain:
         # the surrogate under-estimates, which keeps the sizing conservative
         for n_sub in range(2, 65):
             deltas = np.linspace(1e-6, 0.2, 200)
-            q = dp.taylor_gain(n_sub, 1, deltas)
+            q = taylor_gain(n_sub, 1, deltas)
             exact = dp.dirichlet_gain(n_sub, deltas)
             assert np.all(q <= exact + 1e-12)
 
@@ -142,21 +143,21 @@ class TestExactSizing:
 class TestLinearRelaxation:
     def test_linear_in_bandwidth(self):
         cfg = sizing_config()
-        one = dp.min_ttds_linear(cfg, 0.9, 0.8)
-        two = dp.min_ttds_linear(sizing_config(bandwidth=60e9), 0.9, 0.8)
+        one = min_ttds_linear(cfg, 0.9, 0.8)
+        two = min_ttds_linear(sizing_config(bandwidth=60e9), 0.9, 0.8)
         assert two == pytest.approx(2 * one, rel=1e-12)
 
     def test_headline_value(self):
         # close to the raw closed-form 57.77; the residual offset comes from
         # the (K-1)/2K ~ 0.496 edge factor and the dropped +1 in the margin
         cfg = sizing_config()
-        val = dp.min_ttds_linear(cfg, 0.9, 0.8)
+        val = min_ttds_linear(cfg, 0.9, 0.8)
         assert val == pytest.approx(58.40321293402001, rel=1e-12)
         assert abs(val - 57.77) < 1.0
 
     def test_diverges_at_unit_threshold(self):
         cfg = sizing_config()
-        assert dp.min_ttds_linear(cfg, 1.0, 0.8) == math.inf
+        assert min_ttds_linear(cfg, 1.0, 0.8) == math.inf
 
 
 class TestNanInputsRejected:
@@ -175,7 +176,7 @@ class TestNanInputsRejected:
     @pytest.mark.parametrize("call", [
         lambda psi: dp.size_ttds(sizing_config(), 0.9, psi),
         lambda psi: dp.min_ttds(sizing_config(), 0.9, psi),
-        lambda psi: dp.min_ttds_linear(sizing_config(), 0.9, psi),
+        lambda psi: min_ttds_linear(sizing_config(), 0.9, psi),
         lambda psi: gain_margin(0.9, 3e10, 3e11, 129, psi),
         lambda psi: dp.nt_upper_bound(sizing_config(), psi),
         lambda psi: dp.tmax_lower_bound(sizing_config(), psi),
@@ -197,15 +198,15 @@ class TestNanInputsRejected:
     def test_linear_relaxation_rejects_nan(self):
         cfg = sizing_config()
         with pytest.raises(ValueError, match=r"psi_max must be a finite number in \[0, 1\]"):
-            dp.min_ttds_linear(cfg, 0.9, math.nan)
+            min_ttds_linear(cfg, 0.9, math.nan)
         with pytest.raises(ValueError, match=r"g0 must be a finite number in \(0, 1\]"):
-            dp.min_ttds_linear(cfg, math.nan, 0.8)
+            min_ttds_linear(cfg, math.nan, 0.8)
 
     @pytest.mark.parametrize("delta", [math.nan, math.inf, [0.1, -math.inf]])
     def test_taylor_gain_rejects_non_finite_offset(self, delta):
         # it used to return nan, or -inf for an infinite offset
         with pytest.raises(ValueError, match="delta must be finite"):
-            dp.taylor_gain(256, 16, delta)
+            taylor_gain(256, 16, delta)
 
 
 class TestSizingResult:
