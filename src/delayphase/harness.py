@@ -184,23 +184,14 @@ def _stem(experiment: str, design: str | None, param: str | None, value) -> str:
 
 
 def _design_columns(cfg: SystemConfig, psi: float) -> tuple:
-    """Proposed and benchmark columns toward psi, each (K, n_tx), laid out as in the full stack.
+    """Proposed and benchmark columns toward psi, each (K, n_tx).
 
-    Every chain of a gain table points at psi, so one chain is designed and
-    composed; its column equals column 0 of the full (K, n_tx, n_rf) stack bit
-    for bit. gain_profile's inner products round differently at unit and at
-    non-unit stride (see precoders._compose), so with several chains the two
-    columns are interleaved into one (K, n_tx, 2) array, which gives them a
-    non-unit stride like the full stack's; with one chain they are the
-    unit-stride one-chain stacks themselves.
+    Every chain of a gain table points at psi, so one chain is designed and composed;
+    its column equals column 0 of the full (K, n_tx, n_rf) stack bit for bit.
     """
     one = cfg.replace(n_rf=1, n_rx=1, n_streams=1)
-    columns = (precoders.analog_stack(one, design_mod.design_joint(one, [psi]).design)[:, :, 0],
-               precoders.analog_stack(one, design_mod.design_benchmark(one, [psi]))[:, :, 0])
-    if cfg.n_rf == 1:
-        return columns
-    slots = np.stack(columns, axis=-1)
-    return slots[:, :, 0], slots[:, :, 1]
+    return (precoders.analog_stack(one, design_mod.design_joint(one, [psi]).design)[:, :, 0],
+            precoders.analog_stack(one, design_mod.design_benchmark(one, [psi]))[:, :, 0])
 
 
 def _gain_tables(scenario: Scenario, seed, threads):
@@ -209,7 +200,7 @@ def _gain_tables(scenario: Scenario, seed, threads):
         # the ideal column is gain_profile's steering stack: one per run of points on one grid
         if grid != (grid := (cfg.n_tx, cfg.n_subcarriers, cfg.f_c, cfg.bandwidth)):
             ideal = precoders.ideal_stack(cfg, [psi])[:, :, 0]
-        profiles = metrics._gain_profiles(cfg, (*_design_columns(cfg, psi), ideal), ideal)
+        profiles = metrics._gain_profiles((*_design_columns(cfg, psi), ideal), ideal)
         k = np.arange(1, cfg.n_subcarriers + 1)
         freqs = subcarrier_frequencies(cfg)
         for name, gains in zip(DESIGN_NAMES, profiles):

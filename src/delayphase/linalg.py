@@ -1,5 +1,5 @@
-"""Small dense linear-algebra kernels: the conjugate transpose of a stack,
-eigenvector phase fixing and a cyclic-Jacobi Hermitian eigensolver.
+"""Small dense linear-algebra kernels: the conjugate transpose of a stack, a checked
+product, eigenvector phase fixing and a cyclic-Jacobi Hermitian eigensolver.
 
 ``fix_phase`` makes the digital precoder deterministic. ``jacobi_eigh`` has no
 library caller: the batched rate path runs on LAPACK, and the tests use it as
@@ -98,6 +98,22 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
 def _hermitian(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose over the last two axes."""
     return a.conj().swapaxes(-1, -2)
+
+
+def _finite_product(product, *factors) -> np.ndarray:
+    """product @ factors[0] @ factors[1] @ ..., left to right; ValueError unless it is finite.
+
+    The small product is checked, not the (n_rx, n_tx) inputs: a non-finite
+    channel or precoder entry makes it non-finite (numpy's warning for its
+    inf * 0 is silenced), and LAPACK would otherwise turn it into a NaN rate,
+    or a NaN eigenvalue into a zero bound.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        for factor in factors:
+            product = product @ factor
+    if not np.isfinite(product).all():
+        raise ValueError("channel and precoders must be finite")
+    return product
 
 
 def fix_phase(v: np.ndarray) -> np.ndarray:

@@ -5,7 +5,9 @@ steering vector, so it applies to arbitrary unit-norm precoder columns; the
 closed-form Dirichlet-kernel ratio is provided separately, from the same kernel
 as ``model.steering_gram``, and agrees with the inner product on unclamped
 joint designs. ``gain_profile`` returns the (K,) gains; ``empirical_cdf`` gives
-the CDF of any sample, gains or pooled rates.
+the CDF of any sample, gains or pooled rates. Every gain and unit-norm check is
+one fixed-order einsum over (re, im) pairs (_gain_profiles), with no BLAS call,
+so its bits depend neither on the CPU nor on the columns' memory layout.
 
 ``achievable_rate`` and ``rate_lower_bound`` take any digital precoder W.
 ``eigenbeam_rate`` gives the rate of the eigenbeam precoder that
@@ -22,7 +24,7 @@ import numpy as np
 
 # jacobi_eigh is unused here but stays importable under this name: the
 # benchmark's tracer (bench/spans.py) wraps it at every attribute it is bound to.
-from .linalg import _hermitian, jacobi_eigh  # noqa: F401
+from .linalg import _finite_product, _hermitian, jacobi_eigh  # noqa: F401
 from .model import SystemConfig, _check_int, _check_real, _dirichlet, freq_ratios, steering_stack
 from .precoders import ideal_precoder
 
@@ -34,11 +36,8 @@ SV_TOL = 1e-12
 
 def array_gain(f: np.ndarray, cfg: SystemConfig, k: int, psi: float) -> float:
     """|v_k(psi)^H f| for a unit-norm column f (to 1e-9), v_k(psi) the ideal precoder's column."""
-    f = np.asarray(f)
-    if not abs(np.linalg.norm(f) - 1.0) <= NORM_TOL:  # NaN fails
-        raise ValueError("precoder column must have unit 2-norm")
     _check_real("psi", psi, -1, 1)
-    return float(abs(np.vdot(ideal_precoder(cfg, psi, k)[:, 0], f)))
+    return float(_gain_profiles((f,), ideal_precoder(cfg, psi, k)[:, 0])[0])
 
 
 def dirichlet_gain(n, delta) -> np.ndarray | float:
@@ -60,22 +59,6 @@ def dirichlet_gain(n, delta) -> np.ndarray | float:
 def _float_or_array(x: np.ndarray):
     """A single subcarrier's value as a float, a stack's as an array."""
     return float(x) if x.ndim == 0 else x
-
-
-def _finite_product(product, *factors) -> np.ndarray:
-    """product @ factors[0] @ factors[1] @ ..., left to right; ValueError unless it is finite.
-
-    The small product is checked, not the (n_rx, n_tx) inputs: a non-finite
-    channel or precoder entry makes it non-finite (numpy's warning for its
-    inf * 0 is silenced), and LAPACK would otherwise turn it into a NaN rate,
-    or a NaN eigenvalue into a zero bound.
-    """
-    with np.errstate(invalid="ignore", over="ignore"):
-        for factor in factors:
-            product = product @ factor
-    if not np.isfinite(product).all():
-        raise ValueError("channel and precoders must be finite")
-    return product
 
 
 def _log2det(g: np.ndarray, rho, power):
@@ -168,33 +151,45 @@ def empirical_cdf(values):
 def gain_profile(cfg: SystemConfig, columns: np.ndarray, psi: float) -> np.ndarray:
     """Array gains, shape (K,), of one precoder column per subcarrier (shape (K, n_tx)) at psi.
 
-    Entry k - 1 is array_gain(columns[k - 1], cfg, k, psi), bit for bit: the
-    steering vectors come from one stack, but each gain is still its own
-    np.vdot, because a batched inner product rounds differently in the last bit.
-    The vdot also rounds by the column's stride (see precoders._compose), so
-    columns are read in place, never copied. The steering stack equals
-    ideal_stack(cfg, [psi])[:, :, 0] bit for bit, so the harness builds it once
-    per array grid of a sweep, as the ideal column, and scores every column
-    against it through _gain_profiles, this body.
+    Entry k - 1 is array_gain(columns[k - 1], cfg, k, psi), bit for bit. The
+    steering stack equals ideal_stack(cfg, [psi])[:, :, 0] bit for bit, so the
+    harness builds it once per array grid of a sweep, as the ideal column, and
+    scores every column against it through _gain_profiles, this body.
     """
     _check_real("psi", psi, -1, 1)
     steering = steering_stack(cfg.n_tx, freq_ratios(cfg), psi)[:, :, 0]
-    return _gain_profiles(cfg, (columns,), steering)[0]
+    return _gain_profiles((columns,), steering)[0]
 
 
-def _gain_profiles(cfg: SystemConfig, arrays, steering: np.ndarray) -> tuple:
-    """gain_profile of each (K, n_tx) array in turn, scored against the (K, n_tx) steering."""
+def _pairs(a) -> np.ndarray:
+    """A complex array as contiguous (re, im) float pairs, shape (*a.shape, 2)."""
+    return np.ascontiguousarray(a, complex).view(float).reshape(*a.shape, 2)
+
+
+def _pair_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Sum of x * y over the last two axes of two (..., n, 2) float arrays, in a fixed order."""
+    return np.einsum("...ni,...ni->...", x, y)
+
+
+def _gain_profiles(arrays, steering: np.ndarray) -> tuple:
+    """|v^H f| row by row for each array f of unit-norm columns, shaped as the steering v.
+
+    Re and Im of v^H f are einsums of (re, im) pairs with v and with j v: no
+    BLAS, so a gain has the same bits on any CPU, for any layout, alone or in a stack.
+    """
+    v = _pairs(steering)
+    jv = np.stack((-v[..., 1], v[..., 0]), axis=-1)
     profiles = []
     for a in map(np.asarray, arrays):
-        if a.shape != (cfg.n_subcarriers, cfg.n_tx):
-            raise ValueError("columns must have shape (K, n_tx)")
-        # |a|^2 from the real parts, so an infinite entry gives inf, not a warned NaN
-        norms = np.sqrt((a.real * a.real + a.imag * a.imag).sum(axis=1))
-        if not (np.abs(norms - 1.0) <= NORM_TOL).all():  # NaN fails
+        if a.shape != steering.shape:
+            raise ValueError(f"columns must have shape {steering.shape}, got {a.shape}")
+        f = _pairs(a)
+        # |f|^2 as a sum of squares, so an infinite entry gives inf, not a NaN
+        if not (np.abs(np.sqrt(_pair_dot(f, f)) - 1.0) <= NORM_TOL).all():  # NaN fails
             raise ValueError("precoder column must have unit 2-norm")
-        gains = np.array([abs(np.vdot(v, f)) for v, f in zip(steering, a)])
+        re, im = _pair_dot(v, f), _pair_dot(jv, f)
+        gains = np.sqrt(re * re + im * im)
         if not ((gains >= 0.0) & (gains <= 1.0 + 1e-12)).all():
             raise ValueError("array gain outside [0, 1]")
         profiles.append(gains)
     return tuple(profiles)
-

@@ -98,8 +98,10 @@ class SystemConfig:
         # with bandwidth < f_c every subcarrier frequency lies below 2 f_c, which is then finite
         _check_real("f_c", self.f_c, 0, np.finfo(float).max / 2, ends="()")
         _check_real("bandwidth", self.bandwidth, 0, self.f_c, ends="[)")
-        for name in ("t_max", "rho", "path_delay_max"):
+        for name in ("t_max", "path_delay_max"):
             _check_real(name, getattr(self, name), 0)
+        # 1e30 (300 dB), far above any physical SNR, keeps rho times a rate's Gram matrix finite
+        _check_real("rho", self.rho, 0, 1e30)
         for name in ("n_subcarriers", "n_tx", "n_rx", "n_rf", "n_streams", "ttds_per_rf",
                      "ps_per_ttd"):
             _check_int(name, getattr(self, name), 1)
@@ -146,7 +148,9 @@ class SystemConfig:
         if "rho_db" in data:
             if "rho" in data:
                 raise ValueError("specify either rho or rho_db, not both")
-            data["rho"] = 10.0 ** (float(data.pop("rho_db")) / 10.0)
+            rho_db = data.pop("rho_db")
+            _check_real("rho_db", rho_db, high=300.0)  # rho's cap of 1e30
+            data["rho"] = 10.0 ** (rho_db / 10.0)
         return cls(**data)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 # jacobi_eigh is unused here but stays importable under this name: the
 # benchmark's tracer (bench/spans.py) wraps it at every attribute it is bound to.
-from .linalg import _hermitian, fix_phase, jacobi_eigh  # noqa: F401
+from .linalg import _finite_product, _hermitian, fix_phase, jacobi_eigh  # noqa: F401
 from .model import (SystemConfig, _check_int, _readonly, freq_ratios, steering_stack,
                     subcarrier_frequencies)
 
@@ -85,14 +85,7 @@ def _compose(ps: np.ndarray, ttd: np.ndarray) -> np.ndarray:
     """Analog precoders F1 @ F2_k from the phasors, shape (K, n_tx, n_rf).
 
     Each entry is the single product ps[l, m, n] * ttd[k, l, m], bit-identical
-    to the dense sum of products einsum("ij,jl->il", F1, F2_k). The result is
-    C-ordered, so the column of chain l at subcarrier k has a stride of n_rf
-    elements: unit stride with one RF chain, non-unit with more. That stride
-    reaches the last bit of ``metrics.gain_profile`` and ``array_gain``: each
-    gain is one ``np.vdot``, and OpenBLAS's zdotc takes its SIMD kernel only
-    when both operands have unit stride, and a scalar loop otherwise. The same
-    column gives different last bits contiguous and strided (104 of the 129
-    headline gains at psi = 0.8), but the same bits at any non-unit stride.
+    to the dense sum of products einsum("ij,jl->il", F1, F2_k).
     """
     n_rf, m_ttd, n_ps = ps.shape
     out = np.einsum("lmn,klm->kmnl", ps, ttd, order="C")
@@ -150,12 +143,8 @@ def digital_precoder(h_k: np.ndarray, f_k: np.ndarray, n_streams: int) -> np.nda
     Raises ValueError for a non-finite H or F.
     """
     _check_int("n_streams", n_streams, 1)
-    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 of a non-finite input
-        hf = h_k @ f_k
-        gram = _hermitian(hf) @ hf
-    if not np.isfinite(gram).all():  # LAPACK would only say it did not converge
-        raise ValueError("channel and analog precoder must be finite")
-    _, vecs = np.linalg.eigh(gram)
+    hf = _finite_product(h_k, f_k)  # LAPACK would only say it did not converge on a NaN
+    _, vecs = np.linalg.eigh(_finite_product(_hermitian(hf), hf))
     w = fix_phase(vecs[..., ::-1][..., :n_streams])
     power = np.sum((w.conj() * (_hermitian(f_k) @ f_k @ w)).real, axis=(-2, -1))
     if not (power > 0).all():

@@ -67,6 +67,9 @@ class TestScenario:
         (dict(experiment="sizing", psi_eval=0.0), "psi_eval"),
         (dict(experiment="sizing", psi_eval=-0.5), "psi_eval"),
         (dict(experiment="criteria_report", psi_eval=-0.5), "psi_eval"),
+        # 10^(4000/10) used to overflow in float arithmetic, which the CLI did not catch
+        (dict(config={k: v for k, v in small_config_dict(rho_db=4000).items() if k != "rho"}),
+         "rho_db"),
     ])
     def test_bad_input_rejected_when_built(self, tmp_path, capsys, fields, message):
         path = write_scenario(tmp_path, **fields)

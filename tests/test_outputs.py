@@ -4,7 +4,8 @@ The design-side scenario tables must stay byte-identical (also as JSON, which
 keeps every digit), and the pooled mean rates and every
 design's per-subcarrier rates (the x column of its rate CDF) of a small
 rate_cdf run must stay within 1e-12 relative, to the values recorded in
-tests/data/expected_outputs.json. Rewrite that file only for a
+tests/data/expected_outputs.json. The design-side tables must also hold under
+other OpenBLAS cores, which a child process checks. Rewrite that file only for a
 change that is meant to move the outputs:
 
     PYTHONPATH=src python tests/test_outputs.py
@@ -12,6 +13,8 @@ change that is meant to move the outputs:
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -22,8 +25,9 @@ import delayphase as dp
 from delayphase import harness
 from conftest import HEADLINE
 
-ROOT = Path(__file__).resolve().parents[1]
-EXPECTED = Path(__file__).resolve().parent / "data" / "expected_outputs.json"
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
+EXPECTED = HERE / "data" / "expected_outputs.json"
 DESIGN_SCENARIOS = ("gain_cdf", "gain_cdf_antennas", "sizing", "prop1_sweep",
                     "criteria_report")
 JSON_SCENARIOS = DESIGN_SCENARIOS  # also written with fmt="json"
@@ -43,6 +47,14 @@ def scenario_digests(name: str, out_dir: Path, fmt: str = "csv") -> dict:
     scenario = dp.Scenario.from_file(ROOT / "scenarios" / f"{name}.json")
     result = dp.run(scenario, out_dir=out_dir, fmt=fmt)
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in result.files}
+
+
+def design_digests(out_dir: Path) -> dict:
+    """The record's digests of every design-side table, as CSV and as JSON."""
+    return {"digests": {name: scenario_digests(name, out_dir / name)
+                        for name in DESIGN_SCENARIOS},
+            "json_digests": {name: scenario_digests(name, out_dir / f"{name}_json", "json")
+                             for name in JSON_SCENARIOS}}
 
 
 def rate_outputs(out_dir: Path) -> dict:
@@ -73,6 +85,20 @@ def test_design_json_outputs_unchanged(name, tmp_path):
     assert scenario_digests(name, tmp_path, fmt="json") == expected()["json_digests"][name]
 
 
+@pytest.mark.parametrize("core", ("Haswell", "Prescott"))
+def test_design_outputs_unchanged_on_other_openblas_cores(core, tmp_path):
+    # OpenBLAS picks its kernels for the CPU it loads on, so only a new process can switch them
+    code = ("import json, sys; from pathlib import Path; import test_outputs; "
+            "print(json.dumps(test_outputs.design_digests(Path(sys.argv[1]))))")
+    env = dict(os.environ, OPENBLAS_CORETYPE=core,
+               PYTHONPATH=os.pathsep.join((str(ROOT / "src"), str(HERE))))
+    child = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code,
+                            str(tmp_path)], env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    want = expected()
+    assert json.loads(child.stdout) == {key: want[key] for key in ("digests", "json_digests")}
+
+
 def test_rate_means_unchanged(tmp_path):
     want = expected()["rate_mean"]
     got = rate_outputs(tmp_path)["rate_mean"]
@@ -91,12 +117,7 @@ def test_rate_cdfs_unchanged(tmp_path):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        record = {"digests": {name: scenario_digests(name, tmp / name)
-                              for name in DESIGN_SCENARIOS},
-                  "json_digests": {name: scenario_digests(name, tmp / f"{name}_json", "json")
-                                   for name in JSON_SCENARIOS},
-                  **rate_outputs(tmp / "rate")}
+        record = {**design_digests(Path(tmp)), **rate_outputs(Path(tmp) / "rate")}
     EXPECTED.parent.mkdir(exist_ok=True)
     EXPECTED.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {EXPECTED}", file=sys.stderr)

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import delayphase as dp
@@ -316,7 +316,7 @@ SURFACE = {
                 {"gains": (ARRAY, "gains"), "delays": (ARRAY, "delays"),
                  "aod": (ARRAY, "angles"), "aoa": (ARRAY, "angles")}),
     "digital_precoder": (dp.digital_precoder, dict(h_k=_H, f_k=_F, n_streams=2),
-                         {"h_k": (ARRAY, "channel"), "f_k": (ARRAY, "precoder"),
+                         {"h_k": (ARRAY, "channel"), "f_k": (ARRAY, "precoders"),
                           "n_streams": (SCALAR, "n_streams")}),
     "achievable_rate": (dp.achievable_rate, dict(h_k=_H, f_k=_F, w_k=_W, rho=2.0, n_streams=2),
                         {"h_k": (ARRAY, "channel"), "f_k": (ARRAY, "precoders"),
@@ -473,6 +473,11 @@ def scenario_dicts(draw):
 @pytest.mark.filterwarnings("ignore:n_rf is not small relative to n_tx")
 @settings(max_examples=100, deadline=None)
 @given(blob=scenario_dicts())
+# a rho near the largest float used to pass, and the run then overflowed in its first trial
+@example(blob=dict(config=dict(f_c=3e11, bandwidth=3e10, n_subcarriers=1, n_tx=1, ttds_per_rf=1,
+                               ps_per_ttd=1, n_rx=1, n_rf=1, n_streams=1, t_max=0.0,
+                               rho=1.7e308, seed=1),
+                   experiment="rate_cdf", trials=1, psi_eval=1.0, g0=0.5))
 def test_scenario_is_rejected_when_built_or_runs(blob):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
