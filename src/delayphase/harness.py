@@ -18,7 +18,9 @@ forms its channel and analog precoders a block of subcarriers at a time and
 keeps only their small products H_k F_k. A gain_cdf sweep builds one steering
 stack per run of consecutive points on one array grid (n_tx, K, f_c,
 bandwidth): it is both the ideal column and the steering that gain_profile
-scores columns against.
+scores columns against. A prop1_sweep point scores its flat beamformer against
+a two-row steering stack, the edge and the center subcarrier. The harness calls
+none of the legacy layer (materialize, PrecoderSet, ideal_precoder, array_gain).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from . import metrics, precoders, sizing
 # benchmark's tracer (bench/spans.py) wraps it at every attribute it is bound to.
 from .model import (SystemConfig, _channel_factors, _check_int, _check_real,  # noqa: F401
                     freq_ratios, make_rng, sample_channel, sample_paths, steering_gram,
-                    subcarrier_frequencies)
+                    steering_stack, subcarrier_frequencies)
 
 DESIGN_NAMES = ("proposed", "benchmark", "ideal")
 PROP1_SWEEP = [("n_tx", [128, 256, 512, 1024])]  # prop1_sweep's points when none are given
@@ -270,9 +272,11 @@ def _prop1_tables(scenario: Scenario, seed, threads):
     psi = scenario.psi_eval
     rows = []
     for _, value, cfg in _sweep_points(scenario):
-        flat = precoders.ideal_precoder(cfg, [psi], cfg.center_subcarrier)[:, 0]
-        edge = metrics.array_gain(flat, cfg, cfg.n_subcarriers, psi)
-        center = metrics.array_gain(flat, cfg, cfg.center_subcarrier, psi)
+        # the edge and the center subcarrier's steering; the flat beamformer is the center row
+        ks = [cfg.n_subcarriers - 1, cfg.center_subcarrier - 1]
+        steering = steering_stack(cfg.n_tx, freq_ratios(cfg)[ks], [psi])[:, :, 0]
+        flat = np.broadcast_to(steering[1], steering.shape)
+        edge, center = metrics._gain_profiles((flat,), steering)[0].tolist()
         rows.append((int(value), edge, center))
     rows.sort(key=lambda r: r[0])
     yield "prop1_sweep", ("n_tx", "gain_edge", "gain_center"), list(zip(*rows))

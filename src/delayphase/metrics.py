@@ -5,9 +5,11 @@ steering vector, so it applies to arbitrary unit-norm precoder columns; the
 closed-form Dirichlet-kernel ratio is provided separately, from the same kernel
 as ``model.steering_gram``, and agrees with the inner product on unclamped
 joint designs. ``gain_profile`` returns the (K,) gains; ``empirical_cdf`` gives
-the CDF of any sample, gains or pooled rates. Every gain and unit-norm check is
-one fixed-order einsum over (re, im) pairs (_gain_profiles), with no BLAS call,
-so its bits depend neither on the CPU nor on the columns' memory layout.
+the CDF of any sample, gains or pooled rates. ``array_gain``, a row of
+``gain_profile`` bit for bit, is kept only for the benchmark's tracer. Every
+gain and unit-norm check is one fixed-order einsum over (re, im) pairs
+(_gain_profiles), with no BLAS call, so its bits depend neither on the CPU nor
+on the columns' memory layout.
 
 ``achievable_rate`` and ``rate_lower_bound`` take any digital precoder W.
 ``eigenbeam_rate`` gives the rate of the eigenbeam precoder that
@@ -25,7 +27,8 @@ import numpy as np
 # jacobi_eigh is unused here but stays importable under this name: the
 # benchmark's tracer (bench/spans.py) wraps it at every attribute it is bound to.
 from .linalg import _finite_product, _hermitian, jacobi_eigh  # noqa: F401
-from .model import SystemConfig, _check_int, _check_real, _dirichlet, freq_ratios, steering_stack
+from .model import (RHO_MAX, SystemConfig, _check_int, _check_real, _dirichlet, freq_ratios,
+                    steering_stack)
 from .precoders import ideal_precoder
 
 NORM_TOL = 1e-9  # allowed deviation of a precoder column's 2-norm from 1
@@ -63,7 +66,7 @@ def _float_or_array(x: np.ndarray):
 
 def _log2det(g: np.ndarray, rho, power):
     """log2 det(I + (rho/power) G G^H), G finite, by one slogdet; power may vary over G's stack."""
-    _check_real("rho", rho, 0)
+    _check_real("rho", rho, 0, RHO_MAX)
     scale = np.asarray(rho / power, float)[..., None, None]
     _, logdet = np.linalg.slogdet(np.eye(g.shape[-2]) + scale * (g @ _hermitian(g)))
     return _float_or_array(logdet / np.log(2.0))
@@ -117,7 +120,7 @@ def rate_lower_bound(h_k: np.ndarray, f_k: np.ndarray, w_k: np.ndarray,
     returns a float, or stacks with matching leading axes, (..., n, m), and
     returns an array. Raises ValueError for a non-finite H, F or W.
     """
-    _check_real("rho", rho, 0)
+    _check_real("rho", rho, 0, RHO_MAX)
     _check_int("n_streams", n_streams, 1)
     h_k = np.asarray(h_k)
     if h_k.shape[-2] < n_streams:  # fewer receive modes than streams

@@ -23,6 +23,11 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+# 1e30 (300 dB), far above any physical SNR, keeps rho times a rate's Gram matrix finite
+RHO_MAX = 1e30
+# divisors(n_tx) is a trial division up to sqrt(n_tx): at this cap it takes about 0.1 ms
+N_TX_MAX = 2**20
+
 
 def _check_int(name: str, value, low=None, high=None) -> None:
     """Reject anything but an integer (a bool is not one) within [low, high], where given."""
@@ -100,9 +105,9 @@ class SystemConfig:
         _check_real("bandwidth", self.bandwidth, 0, self.f_c, ends="[)")
         for name in ("t_max", "path_delay_max"):
             _check_real(name, getattr(self, name), 0)
-        # 1e30 (300 dB), far above any physical SNR, keeps rho times a rate's Gram matrix finite
-        _check_real("rho", self.rho, 0, 1e30)
-        for name in ("n_subcarriers", "n_tx", "n_rx", "n_rf", "n_streams", "ttds_per_rf",
+        _check_real("rho", self.rho, 0, RHO_MAX)
+        _check_int("n_tx", self.n_tx, 1, N_TX_MAX)
+        for name in ("n_subcarriers", "n_rx", "n_rf", "n_streams", "ttds_per_rf",
                      "ps_per_ttd"):
             _check_int(name, getattr(self, name), 1)
         _check_int("seed", self.seed, 0)
@@ -149,7 +154,7 @@ class SystemConfig:
             if "rho" in data:
                 raise ValueError("specify either rho or rho_db, not both")
             rho_db = data.pop("rho_db")
-            _check_real("rho_db", rho_db, high=300.0)  # rho's cap of 1e30
+            _check_real("rho_db", rho_db, high=10.0 * math.log10(RHO_MAX))
             data["rho"] = 10.0 ** (rho_db / 10.0)
         return cls(**data)
 

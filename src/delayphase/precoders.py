@@ -7,8 +7,10 @@ radians and converted to complex exponentials only here.
 
 The stacks over all subcarriers (``analog_stack``, ``ideal_stack``) are single
 broadcast kernels along the subcarrier axis; subcarrier k is slice k - 1 of a
-stack. ``digital_precoder`` accepts stacks as well as single subcarriers. The
-dense factors F1 and F2_k are formed only by ``materialize``.
+stack. ``digital_precoder`` accepts stacks as well as single subcarriers.
+Legacy layer, bit-equal to the stacks and kept only for the benchmark's
+rate_bound workload and its tracer: ``materialize``/``PrecoderSet`` (the dense
+F1 and F2_k) and the per-subcarrier twin ``ideal_precoder``.
 """
 
 from __future__ import annotations

@@ -15,12 +15,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .metrics import dirichlet_gain
-from .model import SystemConfig, _check_int, _check_real, freq_ratios
+from .model import N_TX_MAX, SystemConfig, _check_int, _check_real, freq_ratios
 
 
 def divisors(n: int) -> list:
-    """All positive divisors of n, ascending (trial division up to sqrt(n))."""
-    _check_int("n", n, 1)
+    """All positive divisors of n <= N_TX_MAX, ascending (trial division up to sqrt(n))."""
+    _check_int("n", n, 1, N_TX_MAX)
     small, large = [], []
     d = 1
     while d * d <= n:

@@ -20,19 +20,6 @@ def report(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
-def headline_config(**kw):
-    return make_config(**kw)
-
-
-def analog_columns(cfg, design):
-    return dp.materialize(cfg, design).analog[:, :, 0]
-
-
-def gains_of(cfg, columns, psi):
-    return np.array([dp.array_gain(columns[k - 1], cfg, k, psi)
-                     for k in range(1, cfg.n_subcarriers + 1)])
-
-
 def test_criterion_1_closed_form_matches_gradient_oracle():
     """1000 random branches: joint design equals the projected-gradient solve
     to 1e-8 in every coordinate, in under a minute."""
@@ -81,18 +68,16 @@ def test_criterion_2_sizing_reproduction():
 def test_criterion_3_gain_cdf_headline():
     """Joint design keeps >= 75% of subcarriers at gain >= 0.9 where the
     clipped benchmark reaches none; at a 400 ps budget the two coincide."""
-    cfg = headline_config()
+    cfg, cfg400 = make_config(), make_config(t_max=400e-12)
     psi = 0.8
-    joint = gains_of(cfg, analog_columns(cfg, dp.design_joint(cfg, [psi] * 4).design), psi)
-    bench = gains_of(cfg, analog_columns(cfg, dp.design_benchmark(cfg, [psi] * 4)), psi)
+    joint, bench, joint400, bench400 = (
+        dp.gain_profile(c, dp.analog_stack(c, design)[:, :, 0], psi)
+        for c, design in ((cfg, dp.design_joint(cfg, [psi] * 4).design),
+                          (cfg, dp.design_benchmark(cfg, [psi] * 4)),
+                          (cfg400, dp.design_joint(cfg400, [psi] * 4).design),
+                          (cfg400, dp.design_benchmark(cfg400, [psi] * 4))))
     frac_joint = float(np.mean(joint >= 0.9))
     frac_bench = float(np.mean(bench >= 0.9))
-
-    cfg400 = make_config(t_max=400e-12)
-    joint400 = gains_of(cfg400, analog_columns(
-        cfg400, dp.design_joint(cfg400, [psi] * 4).design), psi)
-    bench400 = gains_of(cfg400, analog_columns(
-        cfg400, dp.design_benchmark(cfg400, [psi] * 4)), psi)
     agreement = float(np.max(np.abs(joint400 - bench400)))
 
     ok = frac_joint >= 0.75 and frac_bench == 0.0 and agreement <= 1e-10
@@ -107,9 +92,11 @@ def test_criterion_4_wide_array_gain_collapse():
     edges, centers = [], []
     for n_tx in (128, 256, 512, 1024):
         cfg = make_config(n_tx=n_tx, ps_per_ttd=n_tx // 16)
-        flat = dp.ideal_precoder(cfg, [0.8], cfg.center_subcarrier)[:, 0]
-        edges.append(dp.array_gain(flat, cfg, 129, 0.8))
-        centers.append(dp.array_gain(flat, cfg, cfg.center_subcarrier, 0.8))
+        c = cfg.center_subcarrier
+        flat = dp.ideal_stack(cfg, [0.8])[c - 1, :, 0]
+        gains = dp.gain_profile(cfg, np.broadcast_to(flat, (cfg.n_subcarriers, n_tx)), 0.8)
+        edges.append(gains[129 - 1])
+        centers.append(gains[c - 1])
     decreasing = all(a > b for a, b in zip(edges, edges[1:]))
     centered = max(abs(c - 1.0) for c in centers) <= 1e-12
     ok = decreasing and edges[-1] < 0.05 and centered
@@ -122,7 +109,7 @@ def test_criterion_5_rate_bound_and_ordering():
     """200 random channels: the determinant bound never exceeds the rate, and
     mean rates order ideal >= proposed >= benchmark (95% of trials for the
     proposed/benchmark pair)."""
-    cfg = headline_config()
+    cfg = make_config()
     trials = 200
     means = {"ideal": [], "proposed": [], "benchmark": []}
     bound_violations = 0
@@ -156,8 +143,7 @@ def test_criterion_5_rate_bound_and_ordering():
 def test_criterion_6_structural_invariants():
     """Constant modulus, power normalization, the closed-form quadratic
     identities, and sharpening orthogonality of the matched precoder."""
-    cfg = headline_config()
-    rng = np.random.default_rng(606)
+    cfg = make_config()
 
     worst_modulus = 0.0
     for seed in range(5):
@@ -175,9 +161,10 @@ def test_criterion_6_structural_invariants():
     for trial in range(5):
         channel = dp.sample_channel(cfg, dp.make_rng(42, stream=trial))
         rep = dp.design_joint(cfg, channel.paths.psi_tx)
-        pset = dp.materialize(cfg, rep.design, channel=channel)
+        analog = dp.analog_stack(cfg, rep.design)
+        digital = dp.digital_precoder(channel.h, analog, cfg.n_streams)
         for k in (1, 65, 129):
-            norm2 = np.linalg.norm(pset.analog[k - 1] @ pset.digital[k - 1]) ** 2
+            norm2 = np.linalg.norm(analog[k - 1] @ digital[k - 1]) ** 2
             worst_norm = max(worst_norm, abs(norm2 - cfg.n_streams))
 
     branch = qp.branch_qp(cfg, 0.8, 7)
@@ -194,11 +181,9 @@ def test_criterion_6_structural_invariants():
     psi_set = np.array([-0.8, -0.35, 0.3, 0.75])
     gram = []
     for n_tx in (64, 256, 1024):
-        c = make_config(n_tx=n_tx, ps_per_ttd=n_tx // 16)
-        worst = max(np.linalg.norm(
-            dp.ideal_precoder(c, psi_set, k).conj().T
-            @ dp.ideal_precoder(c, psi_set, k) - np.eye(4))
-            for k in (1, 33, 65, 97, 129))
+        ideal = dp.ideal_stack(make_config(n_tx=n_tx, ps_per_ttd=n_tx // 16), psi_set)
+        worst = max(np.linalg.norm(ideal[k - 1].conj().T @ ideal[k - 1] - np.eye(4))
+                    for k in (1, 33, 65, 97, 129))
         gram.append(worst)
 
     ok = (worst_modulus < 1e-12 and worst_norm < 1e-10
@@ -213,7 +198,7 @@ def test_criterion_6_structural_invariants():
 def test_criterion_7_selection_criteria_values():
     """Antenna-count bound 263 and delay-budget bound 330 ps at the headline
     configuration (the bound evaluates to 330 ps, not the rounded 320 ps)."""
-    cfg = headline_config()
+    cfg = make_config()
     nt = dp.nt_upper_bound(cfg, 0.8)
     tmax = dp.tmax_lower_bound(cfg, 0.8)
     ok = nt == 263 and abs(tmax - 330e-12) <= 1e-12 * 330e-12

@@ -10,9 +10,7 @@ from conftest import make_config
 
 def composite_gains(cfg, design, psi):
     """Array gain of the first composite column at every subcarrier."""
-    pset = dp.materialize(cfg, design)
-    return np.array([dp.array_gain(pset.analog[k - 1, :, 0], cfg, k, psi)
-                     for k in range(1, cfg.n_subcarriers + 1)])
+    return dp.gain_profile(cfg, dp.analog_stack(cfg, design)[:, :, 0], psi)
 
 
 class TestJointDesign:

@@ -69,11 +69,9 @@ class TestDirichletGain:
         # unclamped joint design: per-subcarrier gain is the subarray ratio
         rep = dp.design_joint(cfg, [0.8] * 4)
         assert not rep.clamped.any()
-        pset = dp.materialize(cfg, rep.design)
-        for k in range(1, cfg.n_subcarriers + 1):
-            expected = dp.dirichlet_gain(cfg.ps_per_ttd, squint_offset(cfg, k, 0.8))
-            got = dp.array_gain(pset.analog[k - 1, :, 0], cfg, k, 0.8)
-            assert got == pytest.approx(expected, abs=1e-10)
+        gains = dp.gain_profile(cfg, dp.analog_stack(cfg, rep.design)[:, :, 0], 0.8)
+        deltas = np.array([squint_offset(cfg, k, 0.8) for k in range(1, cfg.n_subcarriers + 1)])
+        assert gains == pytest.approx(dp.dirichlet_gain(cfg.ps_per_ttd, deltas), abs=1e-10)
 
     def test_invalid_subarray_size(self):
         with pytest.raises(ValueError):
@@ -85,7 +83,7 @@ def _small_rate_setup(seed=0):
     rng = dp.make_rng(7, stream=seed)
     channel = dp.sample_channel(cfg, rng)
     k = cfg.center_subcarrier
-    f = dp.ideal_precoder(cfg, channel.paths.psi_tx, k)
+    f = dp.ideal_stack(cfg, channel.paths.psi_tx)[k - 1]
     w = dp.digital_precoder(channel.h[k - 1], f, cfg.n_streams)
     return cfg, channel, k, f, w
 
@@ -116,9 +114,10 @@ class TestRateLowerBound:
         for trial in range(50):
             channel = dp.sample_channel(cfg, dp.make_rng(11, stream=trial))
             rep = dp.design_joint(cfg, channel.paths.psi_tx)
-            pset = dp.materialize(cfg, rep.design, channel=channel)
+            analog = dp.analog_stack(cfg, rep.design)
+            digital = dp.digital_precoder(channel.h, analog, cfg.n_streams)
             for k in (1, 5, 9):
-                h, f, w = channel.h[k - 1], pset.analog[k - 1], pset.digital[k - 1]
+                h, f, w = channel.h[k - 1], analog[k - 1], digital[k - 1]
                 rate = dp.achievable_rate(h, f, w, cfg.rho, cfg.n_streams)
                 bound = dp.rate_lower_bound(h, f, w, cfg.rho, cfg.n_streams)
                 assert bound <= rate + 1e-9
@@ -128,7 +127,7 @@ class TestRateLowerBound:
                           n_streams=1, n_subcarriers=9)
         channel = dp.sample_channel(cfg, dp.make_rng(3))
         k = 5
-        f = dp.ideal_precoder(cfg, channel.paths.psi_tx, k)
+        f = dp.ideal_stack(cfg, channel.paths.psi_tx)[k - 1]
         w = dp.digital_precoder(channel.h[k - 1], f, 1)
         rate = dp.achievable_rate(channel.h[k - 1], f, w, cfg.rho, 1)
         bound = dp.rate_lower_bound(channel.h[k - 1], f, w, cfg.rho, 1)
@@ -143,7 +142,7 @@ class TestRateLowerBound:
             cfg = make_config(n_tx=n_tx, ps_per_ttd=n_tx // 16)
             h = _channel_factors(cfg, paths)[1]
             k = cfg.center_subcarrier
-            f = dp.ideal_precoder(cfg, paths.psi_tx, k)
+            f = dp.ideal_stack(cfg, paths.psi_tx)[k - 1]
             w = dp.digital_precoder(h[k - 1], f, cfg.n_streams)
             rate = dp.achievable_rate(h[k - 1], f, w, cfg.rho, cfg.n_streams)
             bound = dp.rate_lower_bound(h[k - 1], f, w, cfg.rho, cfg.n_streams)
@@ -155,8 +154,8 @@ class TestRateLowerBound:
         cfg = make_config(n_tx=16, ttds_per_rf=4, ps_per_ttd=4, n_rx=2, n_rf=2,
                           n_streams=2, n_subcarriers=9)
         h = np.zeros((2, 16), complex)
-        h[0] = dp.ideal_precoder(cfg, [0.3], 5)[:, 0]  # rank 1 < n_streams
-        f = dp.ideal_precoder(cfg, [0.3, -0.2], 5)
+        f = dp.ideal_stack(cfg, [0.3, -0.2])[5 - 1]
+        h[0] = f[:, 0]  # rank 1 < n_streams
         w = np.eye(2, dtype=complex)
         assert dp.rate_lower_bound(h, f, w, cfg.rho, 2) == 0.0
         # a single receive antenna cannot carry two streams
@@ -202,14 +201,14 @@ class TestRateLowerBound:
 class TestRateInputsRejected:
     # NaN compares False both ways, so checks written as x < 0 or x <= 0 let it through
 
-    @pytest.mark.parametrize("rho", [-3.0, np.nan, np.inf])
+    @pytest.mark.parametrize("rho", [-3.0, np.nan, np.inf, 1e31, 1e308])
     def test_bad_rho(self, rho):
         i2 = np.eye(2, dtype=complex)
         for rate in (dp.achievable_rate, dp.rate_lower_bound):
-            with pytest.raises(ValueError, match=r"rho must be a finite number in \[0, inf\)"):
+            with pytest.raises(ValueError, match=r"rho must be a finite number in \[0, 1e\+30\]"):
                 rate(i2, i2, i2, rho, 2)
         for f_power in (2.0, [2.0, 2.0]):
-            with pytest.raises(ValueError, match=r"rho must be a finite number in \[0, inf\)"):
+            with pytest.raises(ValueError, match=r"rho must be a finite number in \[0, 1e\+30\]"):
                 dp.eigenbeam_rate(np.stack([i2, i2]), f_power, rho)
 
     @pytest.mark.parametrize("f_power", [np.nan, 0.0, -1.0, [2.0, np.nan], np.inf])
@@ -282,21 +281,21 @@ class TestEmpiricalCdf:
 class TestGainHeadline:
     def test_joint_fraction_above_threshold(self, cfg):
         rep = dp.design_joint(cfg, [0.8] * 4)
-        cols = dp.materialize(cfg, rep.design).analog[:, :, 0]
+        cols = dp.analog_stack(cfg, rep.design)[:, :, 0]
         gains = dp.gain_profile(cfg, cols, 0.8)
         fraction = float(np.mean(gains >= 0.9))
         assert fraction == pytest.approx(101 / 129, abs=1e-12)
         assert fraction >= 0.75
 
     def test_benchmark_never_reaches_threshold(self, cfg):
-        cols = dp.materialize(cfg, dp.design_benchmark(cfg, [0.8] * 4)).analog[:, :, 0]
+        cols = dp.analog_stack(cfg, dp.design_benchmark(cfg, [0.8] * 4))[:, :, 0]
         gains = dp.gain_profile(cfg, cols, 0.8)
         assert np.mean(gains >= 0.9) == 0.0
         assert gains.max() < 0.9
 
     def test_profile_invariants(self, cfg):
         rep = dp.design_joint(cfg, [0.8] * 4)
-        cols = dp.materialize(cfg, rep.design).analog[:, :, 0]
+        cols = dp.analog_stack(cfg, rep.design)[:, :, 0]
         gains = dp.gain_profile(cfg, cols, 0.8)
         assert gains.shape == (cfg.n_subcarriers,)
         assert np.all(gains >= 0.0) and np.all(gains <= 1.0 + 1e-12)
@@ -306,24 +305,6 @@ class TestGainHeadline:
 
     def test_rejects_nan_columns(self, cfg):
         nan = np.full((cfg.n_subcarriers, cfg.n_tx), np.nan + 0j)
-        ideal = dp.ideal_stack(cfg, [0.8])[:, :, 0]
         with pytest.raises(ValueError, match="unit 2-norm"):
             dp.gain_profile(cfg, nan, 0.8)
 
-
-class TestWideArrayCollapse:
-    def test_edge_gain_strictly_decreasing(self):
-        gains = []
-        for n_tx in (128, 256, 512, 1024):
-            cfg = make_config(n_tx=n_tx, ps_per_ttd=n_tx // 16)
-            flat = dp.ideal_precoder(cfg, [0.8], cfg.center_subcarrier)[:, 0]
-            gains.append(dp.array_gain(flat, cfg, 129, 0.8))
-        assert all(a > b for a, b in zip(gains, gains[1:]))
-        assert gains[-1] < 0.05
-
-    def test_center_gain_pinned_at_one(self):
-        for n_tx in (128, 256, 512, 1024):
-            cfg = make_config(n_tx=n_tx, ps_per_ttd=n_tx // 16)
-            flat = dp.ideal_precoder(cfg, [0.8], cfg.center_subcarrier)[:, 0]
-            assert dp.array_gain(flat, cfg, cfg.center_subcarrier, 0.8) == pytest.approx(
-                1.0, abs=1e-12)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import delayphase as dp
 from conftest import make_config
-from delayphase.model import _channel_factors, steering_gram, steering_stack
+from delayphase.model import N_TX_MAX, _channel_factors, steering_gram, steering_stack
 
 
 class TestSystemConfig:
@@ -39,6 +39,8 @@ class TestSystemConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("n_tx", 256.0), ("n_subcarriers", 129.0), ("ps_per_ttd", "16"), ("n_rf", True),
+        # the sizing search runs over the divisors of n_tx
+        ("n_tx", N_TX_MAX + 1),
     ])
     def test_rejects_non_integral_counts(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
@@ -120,23 +122,23 @@ class TestSubcarrierGrid:
 
 class TestSteering:
     def test_broadside_is_uniform(self, cfg):
-        v = dp.ideal_precoder(cfg, [0.0], 1)[:, 0]
+        v = dp.ideal_stack(cfg, [0.0])[0, :, 0]
         assert np.allclose(v, np.full(cfg.n_tx, 1 / np.sqrt(cfg.n_tx)), atol=1e-15)
 
     @settings(max_examples=50, deadline=None)
     @given(psi=st.floats(-1.0, 1.0), k=st.integers(1, 129))
     def test_unit_norm(self, psi, k):
         cfg = make_config()
-        v = dp.ideal_precoder(cfg, [psi], k)[:, 0]
+        v = dp.ideal_stack(cfg, [psi])[k - 1, :, 0]
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
     def test_matched_inner_product_at_center(self, cfg):
-        v = dp.ideal_precoder(cfg, [0.8], cfg.center_subcarrier)[:, 0]
+        v = dp.ideal_stack(cfg, [0.8])[cfg.center_subcarrier - 1, :, 0]
         assert abs(np.vdot(v, v)) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_direction_beyond_unity(self, cfg):
         with pytest.raises(ValueError):
-            dp.ideal_precoder(cfg, [1.2], 1)
+            dp.ideal_stack(cfg, [1.2])
 
     @pytest.mark.parametrize("build, message", [
         (lambda cfg, psi: steering_stack(cfg.n_tx, dp.freq_ratios(cfg), psi), r"\|psi\| <= 1"),

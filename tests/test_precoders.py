@@ -107,12 +107,9 @@ class TestComposite:
         m = np.arange(16)
         delays = np.stack([m * p / (2 * cfg.f_c) for p in psi])
         design = dp.AnalogDesign(phases=np.zeros((2, 16, 1)), delays=delays)
-        stack = dp.analog_stack(cfg, design)
+        stack, ideal = dp.analog_stack(cfg, design), dp.ideal_stack(cfg, psi)
         for k in (1, 9, 65, 129):
-            f = stack[k - 1]
-            for l, p in enumerate(psi):
-                v = dp.ideal_precoder(cfg, [p], k)[:, 0]
-                assert np.allclose(f[:, l], v, atol=1e-12)
+            assert np.allclose(stack[k - 1], ideal[k - 1], atol=1e-12)
 
     def test_matches_factor_product(self, cfg):
         design = random_design(cfg, 5)
@@ -123,14 +120,14 @@ class TestComposite:
 class TestIdealPrecoder:
     def test_unit_gain_every_subcarrier(self, cfg):
         psi = np.array([-0.8, -0.35, 0.3, 0.75])
-        for k in (1, 40, 65, 129):
-            f = dp.ideal_precoder(cfg, psi, k)
-            for l, p in enumerate(psi):
-                v = dp.ideal_precoder(cfg, [p], k)[:, 0]
-                assert abs(np.vdot(v, f[:, l])) == pytest.approx(1.0, abs=1e-12)
+        stack = dp.ideal_stack(cfg, psi)
+        for l, p in enumerate(psi):
+            v = dp.ideal_stack(cfg, [p])[:, :, 0]
+            for k in (1, 40, 65, 129):
+                assert abs(np.vdot(v[k - 1], stack[k - 1, :, l])) == pytest.approx(1.0, abs=1e-12)
 
     def test_broadside_column_uniform(self, cfg):
-        f = dp.ideal_precoder(cfg, [0.0] * 4, 20)
+        f = dp.ideal_stack(cfg, [0.0] * 4)[20 - 1]
         assert np.allclose(f[:, 0], 1 / np.sqrt(cfg.n_tx), atol=1e-15)
 
     def test_gram_approaches_identity(self):
@@ -139,11 +136,9 @@ class TestIdealPrecoder:
         errs = []
         for n_tx in (64, 256, 1024, 4096):
             cfg = make_config(n_tx=n_tx, ps_per_ttd=n_tx // 16)
-            worst = 0.0
-            for k in (1, 33, 65, 97, 129):
-                f = dp.ideal_precoder(cfg, psi, k)
-                worst = max(worst, np.linalg.norm(f.conj().T @ f - np.eye(4)))
-            errs.append(worst)
+            stack = dp.ideal_stack(cfg, psi)
+            errs.append(max(np.linalg.norm(stack[k - 1].conj().T @ stack[k - 1] - np.eye(4))
+                            for k in (1, 33, 65, 97, 129)))
         assert errs[0] >= errs[1] >= errs[2] >= errs[3]
 
 
@@ -189,7 +184,7 @@ class TestDigitalPrecoder:
 
     def test_non_finite_input_raises(self, cfg):
         # NaN used to reach LAPACK, which only said its eigenvalues did not converge
-        f = dp.ideal_precoder(cfg, [0.1, 0.2, 0.3, 0.4], 1)
+        f = dp.ideal_stack(cfg, [0.1, 0.2, 0.3, 0.4])[0]
         h = np.ones((4, cfg.n_tx))
         for h_k, f_k in ((h, f * np.nan), (h * np.nan, f)):
             with pytest.raises(ValueError, match="must be finite"):

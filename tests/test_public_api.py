@@ -2,7 +2,8 @@
 
 Every name in it has a caller: it appears, as a name, an attribute or a
 string, in a module of the package other than ``__init__.py`` or in the
-benchmark's scripts.
+benchmark's scripts. The legacy per-subcarrier layer is a leaf: no other
+code of the package refers to it.
 """
 
 import ast
@@ -55,21 +56,41 @@ def test_star_import_binds_no_module_and_no_removed_name():
     assert not any(hasattr(dp, name) for name in GONE)
 
 
-def used_names(path: Path) -> set:
-    """Names, attributes and string constants in a file; a definition or an import is no use."""
+PACKAGE = [p for p in sorted((ROOT / "src" / "delayphase").glob("*.py"))
+           if p.name != "__init__.py"]
+
+
+def parse(path: Path) -> ast.AST:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def used_names(tree: ast.AST, strings: bool = True) -> set:
+    """Names, attributes and, if strings, string constants; a definition or an import is no use."""
     used = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             used.add(node.value)
     return used
 
 
 def test_every_public_name_has_a_caller():
-    files = [p for p in sorted((ROOT / "src" / "delayphase").glob("*.py"))
-             if p.name != "__init__.py"] + sorted((ROOT / "bench").glob("*.py"))
-    used = set().union(*map(used_names, files))
+    files = PACKAGE + sorted((ROOT / "bench").glob("*.py"))
+    used = set().union(*(used_names(parse(p)) for p in files))
     assert sorted(set(dp.__all__) - used) == []
+
+
+# the per-subcarrier twins of the stacks and the dense-factor layer, kept only
+# for the benchmark's rate_bound workload and its tracer
+LEGACY = {"materialize", "PrecoderSet", "ideal_precoder", "array_gain"}
+
+
+def test_legacy_layer_is_a_leaf():
+    # no function or class of the package outside the layer refers to it; a docstring does not
+    callers = [f"{path.stem}.{node.name}" for path in PACKAGE for node in ast.walk(parse(path))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in LEGACY
+               and used_names(node, strings=False) & LEGACY]
+    assert callers == []

@@ -234,13 +234,12 @@ class TestObjectiveEquivalence:
         design = dp.AnalogDesign(phases=phases, delays=delays)
         theta = 2.0 * cfg.f_c * design.delays
 
-        analog = dp.analog_stack(cfg, design)
+        analog, ideal = dp.analog_stack(cfg, design), dp.ideal_stack(cfg, psi)
         frob = 0.0
         chord = 0.0
         K = cfg.n_subcarriers
         for k in range(1, K + 1):
-            ideal = dp.ideal_precoder(cfg, psi, k)
-            frob += np.linalg.norm(ideal - analog[k - 1]) ** 2 / K
+            frob += np.linalg.norm(ideal[k - 1] - analog[k - 1]) ** 2 / K
             z = dp.freq_ratios(cfg)[k - 1]
             for l in range(2):
                 for m in range(3):

@@ -6,6 +6,7 @@ import pytest
 import delayphase as dp
 from conftest import make_config
 from paper_formulas import min_ttds_linear, taylor_gain
+from delayphase.model import N_TX_MAX
 from delayphase.sizing import gain_margin, power_consumption_mw
 
 
@@ -20,6 +21,12 @@ class TestDivisors:
         assert dp.divisors(12) == [1, 2, 3, 4, 6, 12]
         assert dp.divisors(1) == [1]
         assert dp.divisors(97) == [1, 97]
+
+    def test_size_cap(self):
+        assert dp.divisors(N_TX_MAX)[-1] == N_TX_MAX
+        for call in (dp.divisors, lambda n: dp.divisor_ceiling(3.5, n)):
+            with pytest.raises(ValueError, match=rf"n must be an integer >= 1 and <= {N_TX_MAX}\b"):
+                call(N_TX_MAX + 1)
 
     def test_divisor_ceiling_values(self):
         assert dp.divisor_ceiling(57.77, 720) == 60
