@@ -6,10 +6,10 @@ closed-form Dirichlet-kernel ratio is provided separately, from the same kernel
 as ``model.steering_gram``, and agrees with the inner product on unclamped
 joint designs. ``gain_profile`` returns the (K,) gains; ``empirical_cdf`` gives
 the CDF of any sample, gains or pooled rates. ``array_gain``, a row of
-``gain_profile`` bit for bit, is kept only for the benchmark's tracer. Every
-gain and unit-norm check is one fixed-order einsum over (re, im) pairs
-(_gain_profiles), with no BLAS call, so its bits depend neither on the CPU nor
-on the columns' memory layout.
+``gain_profile`` bit for bit, is outside ``delayphase.__all__`` and kept only
+for the benchmark's tracer. Every gain and unit-norm check is one fixed-order
+einsum over (re, im) pairs (_gain_profiles), with no BLAS call, so its bits
+depend neither on the CPU nor on the columns' memory layout.
 
 ``achievable_rate`` and ``rate_lower_bound`` take any digital precoder W.
 ``eigenbeam_rate`` gives the rate of the eigenbeam precoder that
@@ -72,6 +72,14 @@ def _log2det(g: np.ndarray, rho, power):
     return _float_or_array(logdet / np.log(2.0))
 
 
+def _check_streams(n_streams, w_k) -> None:
+    """n_streams must be an integer >= 1 and W's column count, which the power split assumes."""
+    _check_int("n_streams", n_streams, 1)
+    if np.shape(w_k)[-1] != n_streams:
+        raise ValueError(f"n_streams must equal the {np.shape(w_k)[-1]} columns of w_k, "
+                         f"got {n_streams!r}")
+
+
 def achievable_rate(h_k: np.ndarray, f_k: np.ndarray, w_k: np.ndarray,
                     rho: float, n_streams: int):
     """Per-subcarrier rate log2 det(I + (rho/n_streams) * (HFW)(HFW)^H) [bits/s/Hz].
@@ -80,9 +88,9 @@ def achievable_rate(h_k: np.ndarray, f_k: np.ndarray, w_k: np.ndarray,
     (n_rf, n_streams), and returns a float; stacks with matching leading axes,
     (..., n, m), give an array of rates over those axes. Evaluated by the same
     batched slogdet kernel as eigenbeam_rate. Raises ValueError for a
-    non-finite H, F or W.
+    non-finite H, F or W, or unless W has n_streams columns.
     """
-    _check_int("n_streams", n_streams, 1)
+    _check_streams(n_streams, w_k)
     return _log2det(_finite_product(h_k, f_k, w_k), rho, n_streams)
 
 
@@ -118,10 +126,11 @@ def rate_lower_bound(h_k: np.ndarray, f_k: np.ndarray, w_k: np.ndarray,
     its bound is zero.
     Never exceeds achievable_rate on the same inputs. Takes one subcarrier and
     returns a float, or stacks with matching leading axes, (..., n, m), and
-    returns an array. Raises ValueError for a non-finite H, F or W.
+    returns an array. Raises ValueError for a non-finite H, F or W, or unless W
+    has n_streams columns.
     """
     _check_real("rho", rho, 0, RHO_MAX)
-    _check_int("n_streams", n_streams, 1)
+    _check_streams(n_streams, w_k)
     h_k = np.asarray(h_k)
     if h_k.shape[-2] < n_streams:  # fewer receive modes than streams
         _finite_product(h_k, f_k, w_k)

@@ -8,9 +8,10 @@ radians and converted to complex exponentials only here.
 The stacks over all subcarriers (``analog_stack``, ``ideal_stack``) are single
 broadcast kernels along the subcarrier axis; subcarrier k is slice k - 1 of a
 stack. ``digital_precoder`` accepts stacks as well as single subcarriers.
-Legacy layer, bit-equal to the stacks and kept only for the benchmark's
-rate_bound workload and its tracer: ``materialize``/``PrecoderSet`` (the dense
-F1 and F2_k) and the per-subcarrier twin ``ideal_precoder``.
+Legacy shim, outside ``delayphase.__all__`` and kept only for the benchmark's
+rate_bound workload and its tracer: ``materialize``, which wraps
+``analog_stack`` in a ``PrecoderSet``, and the per-subcarrier twin
+``ideal_precoder``, a slice of ``ideal_stack``.
 """
 
 from __future__ import annotations
@@ -65,29 +66,12 @@ def _ttd_phasors(design: AnalogDesign, freqs: np.ndarray) -> np.ndarray:
     return np.exp(-2j * np.pi * freqs[:, None, None] * design.delays)
 
 
-def _ps_blocks(ps: np.ndarray) -> np.ndarray:
-    """Dense PS matrix F1 from the (n_rf, M, N) phasors; entry (m*N + n, l*M + m) is ps[l, m, n]."""
-    n_rf, m_ttd, n_ps = ps.shape
-    f1 = np.zeros((m_ttd * n_ps, m_ttd * n_rf), dtype=complex)
-    m = np.arange(m_ttd)
-    f1.reshape(m_ttd, n_ps, n_rf, m_ttd)[m, :, :, m] = ps.transpose(1, 2, 0)
-    return f1
-
-
-def _ttd_blocks(ttd: np.ndarray) -> np.ndarray:
-    """Delay matrices F2_k from the (K, n_rf, M) phasors; entry (k, l*M + m, l) is ttd[k, l, m]."""
-    n_sc, n_rf, m_ttd = ttd.shape
-    f2 = np.zeros((n_sc, n_rf * m_ttd, n_rf), dtype=complex)
-    l = np.arange(n_rf)
-    f2.reshape(n_sc, n_rf, m_ttd, n_rf)[:, l, :, l] = ttd.transpose(1, 0, 2)
-    return f2
-
-
 def _compose(ps: np.ndarray, ttd: np.ndarray) -> np.ndarray:
     """Analog precoders F1 @ F2_k from the phasors, shape (K, n_tx, n_rf).
 
     Each entry is the single product ps[l, m, n] * ttd[k, l, m], bit-identical
-    to the dense sum of products einsum("ij,jl->il", F1, F2_k).
+    to the dense sum of products einsum("ij,jl->il", F1, F2_k) of the
+    block-diagonal PS matrix F1 and the delay matrix F2_k.
     """
     n_rf, m_ttd, n_ps = ps.shape
     out = np.einsum("lmn,klm->kmnl", ps, ttd, order="C")
@@ -142,9 +126,10 @@ def digital_precoder(h_k: np.ndarray, f_k: np.ndarray, n_streams: int) -> np.nda
     (only the Frobenius norm is constrained), taken from the small Gram matrix
     F^H F. Eigenvector phases are fixed for determinism; with a degenerate
     spectrum any orthonormal basis of the dominant eigenspace is a valid result.
-    Raises ValueError for a non-finite H or F.
+    Raises ValueError for a non-finite H or F, or for more streams than F has
+    columns.
     """
-    _check_int("n_streams", n_streams, 1)
+    _check_int("n_streams", n_streams, 1, np.shape(f_k)[-1])
     hf = _finite_product(h_k, f_k)  # LAPACK would only say it did not converge on a NaN
     _, vecs = np.linalg.eigh(_finite_product(_hermitian(hf), hf))
     w = fix_phase(vecs[..., ::-1][..., :n_streams])
@@ -156,39 +141,20 @@ def digital_precoder(h_k: np.ndarray, f_k: np.ndarray, n_streams: int) -> np.nda
 
 @dataclass(frozen=True)
 class PrecoderSet:
-    """Materialized precoders for all subcarriers.
+    """The composite analog stack of materialize, read-only, shape (K, n_tx, n_rf).
 
-    ``ttd``, ``analog``, ``ideal`` and ``digital`` are stacked along the
-    subcarrier axis; ``ideal`` and ``digital`` are None unless directions or a
-    channel were supplied at build time.
+    ``f1``, ``ttd``, ``ideal`` and ``digital`` are always None: the
+    benchmark's tracer (bench/spans.py, _precoder_bytes) reads all five
+    attributes to size the result.
     """
 
-    f1: np.ndarray
-    ttd: np.ndarray
     analog: np.ndarray
-    ideal: np.ndarray | None = None
-    digital: np.ndarray | None = None
+    f1 = ttd = ideal = digital = None
 
     def __post_init__(self):
-        for name in ("f1", "ttd", "analog", "ideal", "digital"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, _readonly(value))
+        object.__setattr__(self, "analog", _readonly(self.analog))
 
 
-def materialize(cfg: SystemConfig, design: AnalogDesign, psi=None,
-                channel=None) -> PrecoderSet:
-    """Build the full precoder stack for every subcarrier.
-
-    psi enables the matched ideal precoder; a ChannelRealization enables the
-    digital precoders (computed against the composite analog precoder).
-    Callers that need only the composite stack should use analog_stack.
-    """
-    design.validate(cfg)
-    ps = _ps_phasors(design, cfg)
-    ttd = _ttd_phasors(design, subcarrier_frequencies(cfg))
-    analog = _compose(ps, ttd)
-    ideal = None if psi is None else ideal_stack(cfg, psi)
-    digital = None if channel is None else digital_precoder(channel.h, analog, cfg.n_streams)
-    return PrecoderSet(f1=_ps_blocks(ps), ttd=_ttd_blocks(ttd), analog=analog,
-                       ideal=ideal, digital=digital)
+def materialize(cfg: SystemConfig, design: AnalogDesign) -> PrecoderSet:
+    """analog_stack(cfg, design) in a PrecoderSet, for the benchmark's rate_bound workload."""
+    return PrecoderSet(analog=analog_stack(cfg, design))

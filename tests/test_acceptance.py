@@ -1,4 +1,7 @@
-"""Acceptance gate: the eight headline criteria, one PASS/FAIL line each.
+"""Acceptance gate: the headline criteria, one PASS/FAIL line each.
+
+Criteria 1-8 and 10 are here; criterion 9 (the large-system optimality of the
+ideal analog precoder) is not written yet.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines inline.
 Every tolerance is fixed here; nothing is calibrated at runtime.
@@ -238,3 +241,40 @@ def test_criterion_8_harness_determinism(tmp_path):
     report("criterion 8 (harness determinism)", ok,
            f"{len(snapshots[0])} rate CSVs and {len(gain_snaps[0])} gain files "
            f"byte-identical across thread counts 1/4/2")
+
+
+def test_criterion_10_sized_array_gain_guarantee():
+    """The paper's array-gain guarantee end to end, on public functions only.
+
+    Sample (seed 101): 25 configs with n_rf = 1, n_tx drawn from {64, 120,
+    256, 360, 720}, odd K in 3..257, B in [0.01, 0.2] x 300 GHz, g0 in
+    [0.5, 0.99] and psi_max in [0.1, 1]; 13 directions each, evenly spaced
+    over [-psi_max, psi_max] with both ends, so 325 cases. min_ttds sets the
+    delay elements per chain, tmax_lower_bound the delay budget, and the joint
+    design's worst gain over the band, from design_joint, analog_stack and
+    gain_profile, must reach g0 in every case. The benchmark design, at the
+    same count and budget, must miss g0 in some of the 50 end-direction cases.
+    """
+    rng = np.random.default_rng(101)
+    worst_margin, bench_misses, cases = np.inf, 0, 0
+    for _ in range(25):
+        n_tx = int(rng.choice([64, 120, 256, 360, 720]))
+        unsized = make_config(n_tx=n_tx, n_rx=1, n_rf=1, n_streams=1, ttds_per_rf=1,
+                              ps_per_ttd=n_tx, n_subcarriers=int(rng.integers(1, 129)) * 2 + 1,
+                              bandwidth=rng.uniform(0.01, 0.2) * 300e9)
+        g0, psi_max = rng.uniform(0.5, 0.99), rng.uniform(0.1, 1.0)
+        m = dp.min_ttds(unsized, g0, psi_max)
+        sized = unsized.replace(ttds_per_rf=m, ps_per_ttd=n_tx // m)
+        cfg = sized.replace(t_max=dp.tmax_lower_bound(sized, psi_max))
+        directions = np.linspace(-psi_max, psi_max, 13)
+        for psi in directions:
+            joint = dp.analog_stack(cfg, dp.design_joint(cfg, [psi]).design)[:, :, 0]
+            worst_margin = min(worst_margin, dp.gain_profile(cfg, joint, psi).min() - g0)
+            cases += 1
+        for psi in directions[[0, -1]]:
+            bench = dp.analog_stack(cfg, dp.design_benchmark(cfg, [psi]))[:, :, 0]
+            bench_misses += int(dp.gain_profile(cfg, bench, psi).min() < g0)
+    ok = worst_margin >= 0.0 and bench_misses > 0
+    report("criterion 10 (sized array-gain guarantee)", ok,
+           f"joint worst gain - g0 = {worst_margin:+.2e} (>=0) over {cases} cases, "
+           f"benchmark below g0 in {bench_misses} of 50 end-direction cases (>0)")

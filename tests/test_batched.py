@@ -1,6 +1,7 @@
 """Property tests: every batched kernel against the per-subcarrier reference it replaces.
 
-The analog and ideal stacks must equal their per-subcarrier builders, and
+The analog stack must equal the dense product F1 F2_k of its two factors,
+built in the test, and the ideal stack its per-subcarrier builder, and
 gain_profile a loop of array_gain over the subcarriers, bit for bit; so must
 the gain tables' one-chain columns equal the full stack's first column, the
 gain tables built on one steering stack per run of sweep points on one array
@@ -34,7 +35,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import delayphase as dp
-from conftest import make_config, systems
+from conftest import dense_factors, make_config, systems
 from delayphase import design, harness, metrics, model, precoders
 from delayphase.linalg import fix_phase, jacobi_eigh
 from delayphase.model import _channel_factors, steering_gram, steering_stack
@@ -108,13 +109,13 @@ def stacks(cfg, channel, seed):
 def test_analog_stack_matches_composite_precoder(cfg, seed):
     design = random_design(cfg, seed)
     stack = dp.analog_stack(cfg, design)
-    pset = dp.materialize(cfg, design)
-    assert_same_bits(pset.analog, stack)
+    assert_same_bits(precoders.materialize(cfg, design).analog, stack)
+    f1, f2 = dense_factors(cfg, design)
     for k in subcarriers(cfg):
         # the dense sum of products F1 @ F2_k over F1's columns, zeros
-        # included, that materialize evaluated before the stack became one
+        # included, that the library evaluated before the stack became one
         # broadcast kernel
-        assert_same_bits(stack[k - 1], np.einsum("ij,jl->il", pset.f1, pset.ttd[k - 1]))
+        assert_same_bits(stack[k - 1], np.einsum("ij,jl->il", f1, f2[k - 1]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -123,7 +124,7 @@ def test_ideal_stack_matches_ideal_precoder(cfg, psi):
     stack = dp.ideal_stack(cfg, psi)
     i = np.arange(cfg.n_tx)
     for k in subcarriers(cfg):
-        assert_same_bits(stack[k - 1], dp.ideal_precoder(cfg, psi, k))
+        assert_same_bits(stack[k - 1], precoders.ideal_precoder(cfg, psi, k))
         # the per-column steering formula the stack replaced
         ratio = dp.freq_ratios(cfg)[k - 1]
         columns = [np.exp(-1j * np.pi * i * ratio * p) / np.sqrt(cfg.n_tx) for p in psi]
@@ -140,7 +141,8 @@ def test_gain_profile_matches_array_gain_loop(cfg, psi, seed):
               dp.ideal_stack(cfg, [psi]))
     for stack in stacks:
         columns = stack[:, :, 0]
-        want = np.array([dp.array_gain(columns[k - 1], cfg, k, psi) for k in subcarriers(cfg)])
+        want = np.array([metrics.array_gain(columns[k - 1], cfg, k, psi)
+                         for k in subcarriers(cfg)])
         assert_same_bits(dp.gain_profile(cfg, columns, psi), want)
         # the columns' layout does not reach the bits: a contiguous copy and a strided view agree
         strided = np.stack((columns, columns), axis=-1)[:, :, 0]
@@ -456,7 +458,7 @@ def reference_trial(cfg, seed, point_index, trial):
     for name in harness.DESIGN_NAMES:
         rates = []
         for k in subcarriers(cfg):
-            f = dp.ideal_precoder(cfg, psi, k) if name == "ideal" else analog[name][k - 1]
+            f = precoders.ideal_precoder(cfg, psi, k) if name == "ideal" else analog[name][k - 1]
             h = channel.h[k - 1]
             w = reference_digital(h, f, cfg.n_streams)
             rates.append(reference_rate(h, f, w, cfg.rho, cfg.n_streams))

@@ -3,45 +3,46 @@ import pytest
 
 import delayphase as dp
 from conftest import make_config
-from delayphase import harness
+from delayphase import harness, metrics, precoders
 from delayphase.model import _channel_factors
 from paper_formulas import squint_offset
 
 
 class TestArrayGain:
     def test_matched_beamformer_at_center(self, cfg):
-        f = dp.ideal_precoder(cfg, [0.8], cfg.center_subcarrier)[:, 0]
-        assert dp.array_gain(f, cfg, cfg.center_subcarrier, 0.8) == pytest.approx(1.0, abs=1e-12)
+        f = precoders.ideal_precoder(cfg, [0.8], cfg.center_subcarrier)[:, 0]
+        gain = metrics.array_gain(f, cfg, cfg.center_subcarrier, 0.8)
+        assert gain == pytest.approx(1.0, abs=1e-12)
 
     def test_edge_subcarrier_collapse(self, cfg):
         # frequency-flat beamformer at the band edge; sine-ratio evaluation
         # of the squint offset gives 0.0156511
-        f = dp.ideal_precoder(cfg, [0.8], cfg.center_subcarrier)[:, 0]
-        g = dp.array_gain(f, cfg, 129, 0.8)
+        f = precoders.ideal_precoder(cfg, [0.8], cfg.center_subcarrier)[:, 0]
+        g = metrics.array_gain(f, cfg, 129, 0.8)
         assert g == pytest.approx(0.01565106178607286, abs=1e-12)
         assert g == pytest.approx(0.0157, abs=1e-4)
 
     def test_inner_product_matches_sine_ratio(self, cfg):
-        f = dp.ideal_precoder(cfg, [0.8], cfg.center_subcarrier)[:, 0]
+        f = precoders.ideal_precoder(cfg, [0.8], cfg.center_subcarrier)[:, 0]
         for k in (1, 13, 65, 100, 129):
             delta = squint_offset(cfg, k, 0.8)
-            assert dp.array_gain(f, cfg, k, 0.8) == pytest.approx(
+            assert metrics.array_gain(f, cfg, k, 0.8) == pytest.approx(
                 dp.dirichlet_gain(cfg.n_tx, delta), abs=1e-10)
 
     def test_ideal_column_is_unit_gain_everywhere(self, cfg):
         psi = 0.8
         for k in range(1, cfg.n_subcarriers + 1):
-            col = dp.ideal_precoder(cfg, [psi] * 4, k)[:, 0]
-            assert dp.array_gain(col, cfg, k, psi) == pytest.approx(1.0, abs=1e-10)
+            col = precoders.ideal_precoder(cfg, [psi] * 4, k)[:, 0]
+            assert metrics.array_gain(col, cfg, k, psi) == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_unnormalized_input(self, cfg):
         with pytest.raises(ValueError):
-            dp.array_gain(np.ones(cfg.n_tx), cfg, 1, 0.0)
+            metrics.array_gain(np.ones(cfg.n_tx), cfg, 1, 0.0)
 
     def test_rejects_nan_column(self, cfg):
         # NaN compares False both ways, so a check written as norm error > tol let it through
         with pytest.raises(ValueError, match="unit 2-norm"):
-            dp.array_gain(np.full(cfg.n_tx, np.nan + 0j), cfg, 1, 0.8)
+            metrics.array_gain(np.full(cfg.n_tx, np.nan + 0j), cfg, 1, 0.8)
 
     @pytest.mark.parametrize("psi", [np.nan, 1.5])
     def test_squint_offset_rejects_bad_direction(self, cfg, psi):
@@ -210,6 +211,23 @@ class TestRateInputsRejected:
         for f_power in (2.0, [2.0, 2.0]):
             with pytest.raises(ValueError, match=r"rho must be a finite number in \[0, 1e\+30\]"):
                 dp.eigenbeam_rate(np.stack([i2, i2]), f_power, rho)
+
+    @pytest.mark.parametrize("rate", ["achievable_rate", "rate_lower_bound",
+                                      "rate_lower_bound_one_rx"])
+    @pytest.mark.parametrize("n_streams", [1, 4])
+    def test_streams_must_match_w(self, rate, n_streams):
+        # a 2-column W with n_streams = 4 used to get the power split of 4
+        # streams, and the bound failed in numpy's det; with one receive mode the
+        # bound returned 0 before anything was checked
+        i2 = np.eye(2, dtype=complex)
+        stack = np.stack([i2, i2])
+        call = {"achievable_rate": lambda w: dp.achievable_rate(stack, stack, w, 2.0, n_streams),
+                "rate_lower_bound": lambda w: dp.rate_lower_bound(stack, stack, w, 2.0, n_streams),
+                "rate_lower_bound_one_rx":
+                    lambda w: dp.rate_lower_bound(stack[:, :1], stack, w, 2.0, n_streams)}[rate]
+        with pytest.raises(ValueError, match=r"n_streams must equal the 2 columns of w_k"):
+            call(stack)
+        assert np.shape(call(np.ones((2, 2, n_streams)) / 2)) == (2,)
 
     @pytest.mark.parametrize("f_power", [np.nan, 0.0, -1.0, [2.0, np.nan], np.inf])
     def test_bad_f_power(self, f_power):

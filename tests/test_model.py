@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import delayphase as dp
 from conftest import make_config
+from delayphase import metrics, precoders
 from delayphase.model import N_TX_MAX, _channel_factors, steering_gram, steering_stack
 
 
@@ -87,12 +88,12 @@ class TestSubcarrierGrid:
 
     def test_out_of_range_index(self, cfg):
         # freq_ratios(cfg)[k - 1] unchecked would read k = 0 as the top subcarrier
-        column = dp.ideal_precoder(cfg, [0.8], 1)[:, 0]
+        column = precoders.ideal_precoder(cfg, [0.8], 1)[:, 0]
         for k in (0, cfg.n_subcarriers + 1, -3, True, 2.0):
             with pytest.raises(ValueError, match=r"\bk must be an integer >= 1 and <= 129\b"):
-                dp.ideal_precoder(cfg, [0.8], k)
+                precoders.ideal_precoder(cfg, [0.8], k)
             with pytest.raises(ValueError, match=r"\bk must be an integer"):
-                dp.array_gain(column, cfg, k, 0.8)
+                metrics.array_gain(column, cfg, k, 0.8)
 
     def test_vectorized_matches_scalar(self, cfg):
         ratios, freqs = dp.freq_ratios(cfg), dp.subcarrier_frequencies(cfg)
@@ -143,10 +144,11 @@ class TestSteering:
     @pytest.mark.parametrize("build, message", [
         (lambda cfg, psi: steering_stack(cfg.n_tx, dp.freq_ratios(cfg), psi), r"\|psi\| <= 1"),
         (lambda cfg, psi: steering_gram(cfg.n_tx, dp.freq_ratios(cfg), psi), r"\|psi\| <= 1"),
-        (lambda cfg, psi: dp.ideal_precoder(cfg, psi, 1), r"\|psi\| <= 1"),
-        (lambda cfg, psi: dp.ideal_precoder(cfg, psi[1], 1), r"\|psi\| <= 1"),
+        (lambda cfg, psi: precoders.ideal_precoder(cfg, psi, 1), r"\|psi\| <= 1"),
+        (lambda cfg, psi: precoders.ideal_precoder(cfg, psi[1], 1), r"\|psi\| <= 1"),
         # a scalar direction is checked by the scalar rule
-        (lambda cfg, psi: dp.array_gain(dp.ideal_precoder(cfg, [0.0], 1)[:, 0], cfg, 1, psi[1]),
+        (lambda cfg, psi: metrics.array_gain(precoders.ideal_precoder(cfg, [0.0], 1)[:, 0],
+                                             cfg, 1, psi[1]),
          r"psi must be a finite number in \[-1, 1\]"),
     ], ids=["steering_stack", "steering_gram", "ideal_precoder", "ideal_precoder_scalar",
             "array_gain"])

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import delayphase as dp
-from conftest import make_config
+from conftest import dense_factors, make_config
+from delayphase import precoders
 
 
 def random_design(cfg, seed=0):
@@ -21,22 +22,22 @@ def zero_design(cfg):
 
 class TestPsMatrix:
     def test_zero_phases_uniform_entries(self, cfg):
-        f1 = dp.materialize(cfg, zero_design(cfg)).f1
+        f1, _ = dense_factors(cfg, zero_design(cfg))
         nz = f1[f1 != 0]
         assert np.allclose(nz, 1 / np.sqrt(cfg.n_tx), atol=1e-15)
 
     def test_nonzero_count(self, cfg):
-        f1 = dp.materialize(cfg, random_design(cfg)).f1
+        f1, _ = dense_factors(cfg, random_design(cfg))
         assert np.count_nonzero(f1) == cfg.n_tx * cfg.n_rf
 
     def test_column_norms(self, cfg):
         # each column holds ps_per_ttd unit-modulus entries scaled by 1/sqrt(n_tx)
-        f1 = dp.materialize(cfg, random_design(cfg)).f1
+        f1, _ = dense_factors(cfg, random_design(cfg))
         norms = np.linalg.norm(f1, axis=0)
         assert np.allclose(norms, np.sqrt(cfg.ps_per_ttd / cfg.n_tx), atol=1e-12)
 
     def test_block_placement(self, cfg):
-        f1 = dp.materialize(cfg, random_design(cfg)).f1
+        f1, _ = dense_factors(cfg, random_design(cfg))
         n_ps, m_ttd = cfg.ps_per_ttd, cfg.ttds_per_rf
         for l in (0, cfg.n_rf - 1):
             for m in (0, m_ttd - 1):
@@ -47,23 +48,23 @@ class TestPsMatrix:
     def test_shape_mismatch_raises(self, cfg):
         bad = dp.AnalogDesign(phases=np.zeros((2, 3, 4)), delays=np.zeros((2, 3)))
         with pytest.raises(ValueError):
-            dp.materialize(cfg, bad)
+            precoders.materialize(cfg, bad)
 
 
 class TestTtdMatrix:
     def test_zero_delays_all_ones_blocks(self, cfg):
-        f2 = dp.materialize(cfg, zero_design(cfg)).ttd[6]
+        f2 = dense_factors(cfg, zero_design(cfg))[1][6]
         nz = f2[f2 != 0]
         assert np.allclose(nz, 1.0, atol=1e-15)
 
     def test_entry_moduli(self, cfg):
-        f2 = dp.materialize(cfg, random_design(cfg)).ttd[99]
+        f2 = dense_factors(cfg, random_design(cfg))[1][99]
         mods = np.abs(f2)
         assert np.all((mods < 1e-15) | (np.abs(mods - 1) < 1e-12))
 
     def test_gram_is_scaled_identity(self, cfg):
         # each block stacks ttds_per_rf unit-modulus entries
-        f2 = dp.materialize(cfg, random_design(cfg)).ttd[41]
+        f2 = dense_factors(cfg, random_design(cfg))[1][41]
         gram = f2.conj().T @ f2
         assert np.allclose(gram, cfg.ttds_per_rf * np.eye(cfg.n_rf), atol=1e-10)
 
@@ -73,7 +74,7 @@ class TestTtdMatrix:
             delays=np.full((cfg.n_rf, cfg.ttds_per_rf), 2 * cfg.t_max),
         )
         with pytest.raises(ValueError):
-            dp.materialize(cfg, bad)
+            precoders.materialize(cfg, bad)
 
     @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
     def test_non_finite_design_raises(self, cfg, bad_value):
@@ -113,8 +114,8 @@ class TestComposite:
 
     def test_matches_factor_product(self, cfg):
         design = random_design(cfg, 5)
-        pset = dp.materialize(cfg, design)
-        assert np.allclose(pset.analog[28], pset.f1 @ pset.ttd[28], atol=1e-14)
+        f1, f2 = dense_factors(cfg, design)
+        assert np.allclose(dp.analog_stack(cfg, design)[28], f1 @ f2[28], atol=1e-14)
 
 
 class TestIdealPrecoder:
@@ -190,15 +191,28 @@ class TestDigitalPrecoder:
             with pytest.raises(ValueError, match="must be finite"):
                 dp.digital_precoder(h_k, f_k, 4)
 
+    def test_more_streams_than_rf_chains_raises(self):
+        # a (16, 2) F with n_streams = 4 used to give a (2, 2) W scaled to ||F W||^2 = 4
+        rng = np.random.default_rng(3)
+        h = rng.normal(size=(4, 16)) + 1j * rng.normal(size=(4, 16))
+        f = dp.ideal_stack(make_config(n_tx=16, ttds_per_rf=4, ps_per_ttd=4), [0.1, 0.5])[0]
+        assert dp.digital_precoder(h, f, 2).shape == (2, 2)
+        for stacked in (False, True):
+            with pytest.raises(ValueError, match=r"n_streams must be an integer >= 1 and <= 2"):
+                dp.digital_precoder(np.stack([h] * 3) if stacked else h,
+                                    np.stack([f] * 3) if stacked else f, 4)
+
 
 class TestMaterialize:
     def test_stack_shapes(self):
+        # the shim holds only the composite stack; the benchmark sizes all five attributes
         cfg = make_config(n_tx=32, ttds_per_rf=4, ps_per_ttd=8, n_subcarriers=9)
         design = random_design(cfg, 2)
-        channel = dp.sample_channel(cfg, dp.make_rng(1))
-        pset = dp.materialize(cfg, design, psi=[0.1, 0.2, 0.3, 0.4], channel=channel)
-        assert pset.f1.shape == (32, 16)
-        assert pset.ttd.shape == (9, 16, 4)
+        pset = precoders.materialize(cfg, design)
         assert pset.analog.shape == (9, 32, 4)
-        assert pset.ideal.shape == (9, 32, 4)
-        assert pset.digital.shape == (9, 4, 4)
+        assert not pset.analog.flags.writeable
+        assert pset.analog.tobytes() == dp.analog_stack(cfg, design).tobytes()
+        assert (pset.f1, pset.ttd, pset.ideal, pset.digital) == (None,) * 4
+        f1, f2 = dense_factors(cfg, design)
+        assert f1.shape == (32, 16)
+        assert f2.shape == (9, 16, 4)
