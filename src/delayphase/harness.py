@@ -9,9 +9,12 @@ Experiments:
     criteria_report antenna-count and delay-budget selection bounds
 
 Each experiment yields (stem, header, columns); ``run`` writes each table in
-the chosen format, and the header-less sizing result as JSON. One
-``_write_json`` writes every JSON file, manifest.json (configuration and seed)
-included; a CSV table is formatted a column at a time and written in one piece.
+the chosen format, and the header-less sizing result as JSON. A column is a
+float64 or int64 array or a tuple of Python numbers and unquoted names, the
+only cells the experiments make; a CSV table is formatted a column at a time
+and written in one piece. One ``_write_json`` writes every JSON file,
+manifest.json (configuration and seed) included, numpy scalars as Python's.
+A sweep may not repeat a stem (param=value), nor sweep the run input seed.
 Trials use counter-based RNG streams keyed by trial index, so output bytes are
 identical for any thread count; with one thread they run inline. A rate trial
 forms its channel and analog precoders a block of subcarriers at a time and
@@ -27,7 +30,6 @@ from __future__ import annotations
 
 import datetime as _dt
 import json
-import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields as dc_fields
@@ -46,7 +48,6 @@ from .model import (SystemConfig, _channel_factors, _check_int, _check_real,  # 
 DESIGN_NAMES = ("proposed", "benchmark", "ideal")
 PROP1_SWEEP = [("n_tx", [128, 256, 512, 1024])]  # prop1_sweep's points when none are given
 _CONFIG_FIELDS = {f.name for f in dc_fields(SystemConfig)}
-_CSV_QUOTED = re.compile('[,"\n]')  # csv.writer quotes a cell holding one of these
 _BLOCK = 16  # subcarriers per block of a rate trial: its channel and analog blocks stay in L2
 
 
@@ -76,6 +77,8 @@ class Scenario:
         for param, values in self.sweep:
             if param not in _CONFIG_FIELDS:
                 raise ValueError(f"sweep parameter {param!r} is not a config field")
+            if param == "seed":  # a point's trials draw from the run seed, not from its cfg.seed
+                raise ValueError("sweep parameter 'seed' is a run input: set it with --seed")
             if not isinstance(values, (list, tuple)) or not values:
                 raise ValueError(f"sweep values for {param!r} must be a non-empty list")
             if self.experiment == "prop1_sweep" and param != "n_tx":
@@ -87,6 +90,9 @@ class Scenario:
         _check_real("psi_eval", self.psi_eval, low, 1, ends)
         _check_real("g0", self.g0, 0, 1, ends="()")
         _sweep_points(self)  # builds, and so validates, the config of every point
+        points = [_point(param, value) for param, values in self.sweep for value in values]
+        if shared := [p for p in points if points.count(p) > 1]:  # one would overwrite the other
+            raise ValueError(f"sweep points share the stem {shared[0]!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
@@ -105,7 +111,6 @@ class Scenario:
 class RunResult:
     out_dir: Path
     files: list
-    manifest: dict
 
 
 def _fmt(value) -> str:
@@ -113,46 +118,35 @@ def _fmt(value) -> str:
     return "%.12g" % value if isinstance(value, float) else str(value)
 
 
-def _values(column) -> list:
-    """One column as Python values, so numpy numbers format and serialize as Python's."""
-    if isinstance(column, np.ndarray):
-        return column.tolist()
-    return [v.item() if isinstance(v, np.generic) else v for v in column]
-
-
 def _write_json(path: Path, payload) -> Path:
-    """Write payload as indented, key-sorted JSON with a final newline."""
+    """Write payload as indented, key-sorted JSON and a final newline; numpy scalars as Python's."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+        json.dump(payload, fh, indent=1, sort_keys=True, default=np.generic.item)
         fh.write("\n")
     return path
 
 
 def _csv_cells(column) -> list:
-    """One column as CSV text: _fmt of each Python value, quoted as csv.writer quotes it."""
-    # an int or float array in one % operation (a longdouble's values stay numpy scalars)
-    if isinstance(column, np.ndarray) and column.dtype.kind in "iuf" and column.itemsize <= 8:
+    """One column as CSV text: an int or float array in one % operation, else _fmt of each value."""
+    if isinstance(column, np.ndarray):
         line = "%.12g\n" if column.dtype.kind == "f" else "%d\n"
         return (line * len(column) % tuple(column.tolist())).split("\n")[:-1]
-    return ['"%s"' % c.replace('"', '""') if _CSV_QUOTED.search(c) else c
-            for c in map(_fmt, _values(column))]
+    return list(map(_fmt, column))
 
 
 def _write_table(path: Path, header, columns, fmt: str) -> Path:
-    """Write a table given column by column, each as long as the table.
-
-    Each column becomes Python values first (_values); JSON writes them as
-    they are, CSV writes the text _fmt gives each one, a column at a time (_csv_cells).
+    """Write a table of two or more equal-length columns, the only kinds the experiments make:
+    float64 or int64 arrays, and tuples of Python numbers and names that need no CSV quoting.
+    For those the bytes equal csv.writer's, or json.dump's of the rows as Python values.
     """
     # append the extension; with_suffix would truncate stems like "t_max=3.2e-10"
     path = path.parent / f"{path.name}.{fmt}"
     if fmt == "json":
-        return _write_json(path, {"header": list(header),
-                                  "rows": list(zip(*map(_values, columns)))})
-    lines = [",".join(_csv_cells(header)), *map(",".join, zip(*map(_csv_cells, columns)))]
+        rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+        return _write_json(path, {"header": list(header), "rows": list(rows)})
+    lines = [",".join(header), *map(",".join, zip(*map(_csv_cells, columns)))]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        # like csv, write a row of one empty cell as "" so that it is not a blank line
-        fh.write("\n".join(line or '""' for line in lines) + "\n")
+        fh.write("\n".join(lines) + "\n")
     return path
 
 
@@ -180,9 +174,13 @@ def _apply_sweep(cfg: SystemConfig, param: str, value) -> SystemConfig:
     return cfg.replace(**{param: value})
 
 
+def _point(param: str, value) -> str:  # a sweep point's part of its table stems
+    return f"{param}={_fmt(value)}"
+
+
 def _stem(experiment: str, design: str | None, param: str | None, value) -> str:
     name = f"{experiment}_{design}" if design else experiment
-    return name if param is None else f"{name}_{param}={_fmt(value)}"
+    return name if param is None else f"{name}_{_point(param, value)}"
 
 
 def _design_columns(cfg: SystemConfig, psi: float) -> tuple:
@@ -304,7 +302,7 @@ EXPERIMENTS = tuple(_EXPERIMENTS)
 
 def run(scenario: Scenario, seed: int | None = None, out_dir=None,
         threads: int = 1, fmt: str = "csv") -> RunResult:
-    """Execute a scenario; returns the output files and the manifest dict."""
+    """Execute a scenario; returns the output directory and files (manifest.json aside)."""
     from . import __version__
     if fmt not in ("csv", "json"):
         raise ValueError("format must be csv or json")
@@ -338,4 +336,4 @@ def run(scenario: Scenario, seed: int | None = None, out_dir=None,
         "files": sorted(p.name for p in files),
     }
     _write_json(out / "manifest.json", manifest)
-    return RunResult(out_dir=out, files=sorted(files), manifest=manifest)
+    return RunResult(out_dir=out, files=sorted(files))

@@ -70,6 +70,17 @@ class TestScenario:
         # 10^(4000/10) used to overflow in float arithmetic, which the CLI did not catch
         (dict(config={k: v for k, v in small_config_dict(rho_db=4000).items() if k != "rho"}),
          "rho_db"),
+        # a rate point draws its trials from the run seed and its index, never from its
+        # cfg.seed, so a table named seed=1 would hold another seed's trials
+        (dict(experiment="rate_cdf", sweep=[["seed", [1, 2]]]), "'seed' is a run input"),
+        # points that share a stem: the second's tables would overwrite the first's
+        *((dict(experiment=experiment, sweep=sweep), "sweep points share the stem 't_max=3.4e-10'")
+          for experiment in harness.EXPERIMENTS if experiment != "prop1_sweep"
+          for sweep in ([["t_max", [3.4e-10, 3.4e-10]]],  # a repeated value
+                        [["t_max", [3.4e-10]], ["t_max", [3.4e-10]]],  # a repeated parameter
+                        [["t_max", [3.4e-10, 3.4000000000001e-10]]])),  # equal to 12 digits
+        *((dict(experiment="prop1_sweep", sweep=sweep), "sweep points share the stem 'n_tx=16'")
+          for sweep in ([["n_tx", [16, 16]]], [["n_tx", [16]], ["n_tx", [16]]])),
     ])
     def test_bad_input_rejected_when_built(self, tmp_path, capsys, fields, message):
         path = write_scenario(tmp_path, **fields)
@@ -169,6 +180,27 @@ class TestGainCdfRun:
         assert manifest["config"]["n_tx"] == 32
         assert manifest["files"] == sorted(p.name for p in result.files)
         assert "version" in manifest and "started_utc" in manifest
+
+
+class TestNumpyScalars:
+    @pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
+    def test_numpy_config_and_sweep_values_write_as_python_numbers(self, tmp_path, experiment):
+        # SystemConfig takes numpy scalars; the manifest used to fail on them
+        # after every table was written
+        param, value = ("n_tx", 16) if experiment == "prop1_sweep" else ("n_subcarriers", 9)
+        outputs = []
+        for label, number in (("np", np.int64), ("py", int)):
+            cfg = make_config(**small_config_dict(n_tx=number(32)))
+            sc = dp.Scenario(config=cfg, experiment=experiment, sweep=[(param, [number(value)])],
+                             trials=2)
+            out = dp.run(sc, out_dir=tmp_path / label).out_dir
+            files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+            manifest = json.loads((out / "manifest.json").read_text())
+            for key in ("started_utc", "elapsed_s"):
+                del manifest[key]
+            outputs.append((files, json.dumps(manifest)))  # as text, where 32.0 is not 32
+        assert outputs[0] == outputs[1]
+        assert '"n_tx": 32,' in outputs[0][1]
 
 
 class TestRateCdfRun:

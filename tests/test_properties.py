@@ -479,6 +479,12 @@ def scenario_dicts(draw):
                                ps_per_ttd=1, n_rx=1, n_rf=1, n_streams=1, t_max=0.0,
                                rho=1.7e308, seed=1),
                    experiment="rate_cdf", trials=1, psi_eval=1.0, g0=0.5))
+# a repeated sweep value used to run, its second point's tables over the first's
+@example(blob=dict(config=SMALL.to_dict(), experiment="gain_cdf",
+                   sweep=[["t_max", [3e-10, 3e-10]]]))
+# a seed sweep used to run, its tables named by seed but drawn by point index
+@example(blob=dict(config=SMALL.to_dict(), experiment="rate_cdf", trials=1,
+                   sweep=[["seed", [1, 2]]]))
 def test_scenario_is_rejected_when_built_or_runs(blob):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
@@ -493,3 +499,11 @@ def test_scenario_is_rejected_when_built_or_runs(blob):
             return
         result = dp.run(scenario, out_dir=out)
         assert result.files and all(p.exists() for p in result.files)
+        # each table has a file of its own, and the manifest lists exactly those
+        names = [p.name for p in result.files]
+        assert len(set(names)) == len(names)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["files"] == sorted(names)
+        assert sorted(p.name for p in out.iterdir()) == sorted(names + ["manifest.json"])
+        # a table named seed=s must be drawn from seed s, which a sweep point is not
+        assert all(param != "seed" for param, _ in manifest["sweep"])
